@@ -12,12 +12,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
-from . import flow, fukaya, geometry, homology, links, maslov, morse
-from .errors import FukayaFlowError, IOFailure
+from . import flow, fukaya, homology, links, maslov, morse
+from .errors import FukayaFlowError, IOFailure, MalformedArgument
 
 SCHEMA = "fukaya-flow/1"
 
@@ -209,19 +210,59 @@ def cmd_cascade_diagnostics(args) -> int:
     return 0
 
 
-def _parse_breakpoints(text: str):
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
+
+
+def _is_breakpoint(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
+
+
+def _is_arc(x) -> bool:
+    return isinstance(x, list) and all(map(_is_breakpoint, x))
+
+
+def _is_part(x) -> bool:
+    return (isinstance(x, dict) and isinstance(x.get("name"), str)
+            and _is_int(x.get("index"))
+            and isinstance(x.get("punctures", {}), dict)
+            and all(map(_is_int, x.get("punctures", {}).values())))
+
+
+def _is_gluing(x) -> bool:
+    return (isinstance(x, list) and len(x) == 4
+            and all(isinstance(s, str) for s in x))
+
+
+def _json_list(flag: str, text: str, is_item, item: str) -> list:
+    """A JSON list argument whose elements all pass is_item; otherwise
+    MalformedArgument names the flag and the first offending element."""
     data = json.loads(text)
-    return tuple((t, a) for t, a in data)
+    if not isinstance(data, list):
+        raise MalformedArgument("%s must be a JSON list, got %s"
+                                % (flag, json.dumps(data)))
+    for i, x in enumerate(data):
+        if not is_item(x):
+            raise MalformedArgument("%s element %d is %s, expected %s"
+                                    % (flag, i, json.dumps(x), item))
+    return data
 
 
 def cmd_maslov(args) -> int:
     convention = args.convention
     if args.loop:
-        loop = maslov.LagrangianLineLoop(_parse_breakpoints(args.loop),
-                                         convention)
+        breakpoints = _json_list("--loop", args.loop, _is_breakpoint,
+                                 "a [t, angle] pair of finite numbers")
+        loop = maslov.LagrangianLineLoop(
+            tuple((t, a) for t, a in breakpoints), convention)
         value = maslov.maslov_of_loop(loop)
     else:
-        arcs_data = json.loads(args.arcs)
+        arcs_data = _json_list("--arcs", args.arcs, _is_arc,
+                               "a list of [t, angle] pairs")
         arcs = [maslov.LagrangianLineLoop(tuple((t, a) for t, a in arc))
                 for arc in arcs_data]
         boundary = maslov.BoundaryData(punctures=len(arcs),
@@ -237,13 +278,22 @@ def cmd_glued_index(args) -> int:
         index_h, index_v = maslov.solve_triangle_system(n, mu, mu_prime)
         _write_out("index_H %d\nindex_V %d\n" % (index_h, index_v), args.out)
         return 0
-    if args.base_dim:
+    if args.base_dim is not None:
         result = maslov.vanishing_triangle_index(args.base_dim)
         _write_out("n %(n)d\nindex_H %(index_H)d\nindex_V %(index_V)d\n"
                    % result, args.out)
         return 0
-    parts_data = json.loads(args.parts)
-    gluings_data = json.loads(args.gluings) if args.gluings else []
+    if args.parts is None:
+        raise MalformedArgument(
+            "glued-index needs --parts, --triangle-system or --base-dim")
+    parts_data = _json_list(
+        "--parts", args.parts, _is_part,
+        "an object {name: string, index: integer, "
+        "punctures: {string: integer}}")
+    gluings_data = _json_list(
+        "--gluings", args.gluings, _is_gluing,
+        "four strings [part, puncture, part, puncture]"
+    ) if args.gluings else []
     parts = [maslov.OperatorPart(p["name"], p["index"],
                                  dict(p.get("punctures", {})))
              for p in parts_data]
@@ -253,6 +303,7 @@ def cmd_glued_index(args) -> int:
 
 
 def cmd_geometry_check(args) -> int:
+    from . import geometry  # numpy is needed by the numeric checks only
     report = geometry.geometry_report(seed=args.seed, samples=args.samples,
                                       grid_thetas=args.grid_n,
                                       lam_max=args.lambda_max)
@@ -269,6 +320,7 @@ def cmd_geometry_check(args) -> int:
 
 
 def cmd_emit_figure(args) -> int:
+    from . import geometry
     curves = geometry.default_figure_curves(loop_points=args.grid_n)
     if args.lambda_max is not None:
         curves["constant_lambda"] = [

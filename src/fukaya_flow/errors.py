@@ -92,5 +92,11 @@ class DimensionTooLarge(FukayaFlowError):
     """Exhaustive isomorphism search is capped at dimension 3 per vertex."""
 
 
+# --- command line ---
+
+class MalformedArgument(FukayaFlowError):
+    """A JSON command-line argument does not have the documented shape."""
+
+
 class IOFailure(FukayaFlowError):
     """An output artifact could not be written."""

@@ -1,102 +1,92 @@
 """Bit-packed linear algebra over the two-element field.
 
 Vectors are python ints; bit i is the coefficient of basis element i.
-Row reduction pivots on the HIGHEST set bit of each relation, so each
-relation rewrites its last generator in terms of earlier ones and the
-canonical basis keeps the earliest generators (a + b leaves {a} and
-sends b to a).
+Reducer is the package's one Gaussian eliminator; rref, rank,
+kernel_basis and reduce_vector all go through it.  Its one pivot
+convention is the HIGHEST set bit of each row, so each relation
+rewrites its last generator in terms of earlier ones and the canonical
+basis keeps the earliest generators (a + b leaves {a} and sends b to a).
 """
 
 from __future__ import annotations
 
-
-def lowest_bit(v: int) -> int:
-    """Index of the lowest set bit of a nonzero vector."""
-    return (v & -v).bit_length() - 1
-
-
-def highest_bit(v: int) -> int:
-    """Index of the highest set bit of a nonzero vector."""
-    return v.bit_length() - 1
-
-
-def rref(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form with highest-bit pivots.
-
-    Returns (reduced nonzero rows sorted by pivot, pivot indices).
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        v = row
-        while v:
-            p = highest_bit(v)
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                break
-    # back-substitute so each pivot occurs in exactly one row
-    for p in sorted(pivots):
-        for q in list(pivots):
-            if q != p and (pivots[q] >> p) & 1:
-                pivots[q] ^= pivots[p]
-    cols = sorted(pivots)
-    return [pivots[p] for p in cols], cols
-
-
-def reduce_vector(v: int, rref_rows: list[int]) -> int:
-    """Reduce v against rows in reduced echelon form."""
-    for row in rref_rows:
-        if (v >> highest_bit(row)) & 1:
-            v ^= row
-    return v
-
-
-def rank(rows: list[int]) -> int:
-    return len(rref(rows)[0])
+from typing import Iterable, Optional
 
 
 class Reducer:
-    """Incremental gaussian eliminator with combination tracking.
+    """Incremental Gaussian eliminator with combination tracking.
 
-    add(v) returns (residual, combo): combo is the bitmask of previously
-    added vector indices (plus the current one) whose sum is residual.
-    A zero residual means v is dependent on what came before.
+    Rows are numbered in the order they are added.  Each pivot row is
+    stored with its combination: the bitmask of added row numbers whose
+    sum it is.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Iterable[int] = ()) -> None:
         self._pivots: dict[int, tuple[int, int]] = {}
+        self._mask = 0  # the pivot positions
         self._count = 0
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, v: int) -> tuple[int, int]:
+        """(residual, combo): v with every pivot bit cleared, and the
+        added rows whose sum is v + residual.  The residual is the
+        canonical representative of v modulo the span; it is zero
+        exactly when v lies in the span."""
+        combo = 0
+        hits = v & self._mask
+        while hits:
+            # a pivot row has no bits above its pivot, so clearing the
+            # pivots highest first never sets one already cleared
+            row, row_combo = self._pivots[hits.bit_length() - 1]
+            v ^= row
+            combo ^= row_combo
+            hits = v & self._mask
+        return v, combo
 
     def add(self, v: int) -> tuple[int, int]:
-        combo = 1 << self._count
+        """Add v as the next row.  Returns (residual, combo) as for
+        reduce, with the new row's own number set in combo; a zero
+        residual means v depends on the rows before it."""
+        v, combo = self.reduce(v)
+        combo ^= 1 << self._count
         self._count += 1
-        while v:
-            p = lowest_bit(v)
-            if p in self._pivots:
-                pv, pc = self._pivots[p]
-                v ^= pv
-                combo ^= pc
-            else:
-                self._pivots[p] = (v, combo)
-                break
+        if v:
+            p = v.bit_length() - 1
+            self._pivots[p] = (v, combo)
+            self._mask |= 1 << p
         return v, combo
+
+    def express(self, v: int) -> Optional[int]:
+        """The combination of added rows summing to v, or None if v is
+        not in their span."""
+        v, combo = self.reduce(v)
+        return None if v else combo
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def contains(self, v: int) -> bool:
-        for p, (pv, _) in sorted(self._pivots.items()):
-            if (v >> p) & 1:
-                v ^= pv
-        return v == 0
 
-    def reduce(self, v: int) -> int:
-        for p, (pv, _) in sorted(self._pivots.items()):
-            if (v >> p) & 1:
-                v ^= pv
-        return v
+def rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form with highest-bit pivots.
+
+    Returns (reduced nonzero rows sorted by pivot, pivot indices).
+    """
+    red = Reducer(rows)
+    cols = sorted(red._pivots)
+    # each pivot row minus its pivot, reduced, has no pivot bits left
+    return [red.reduce(red._pivots[p][0] ^ (1 << p))[0] | (1 << p)
+            for p in cols], cols
+
+
+def reduce_vector(v: int, span: Reducer) -> int:
+    """Canonical representative of v modulo the span of a Reducer."""
+    return span.reduce(v)[0]
+
+
+def rank(rows: Iterable[int]) -> int:
+    return Reducer(rows).rank
 
 
 def kernel_basis(columns: list[int]) -> list[int]:
@@ -113,24 +103,11 @@ def kernel_basis(columns: list[int]) -> list[int]:
     return kernel
 
 
-def image_rank(columns: list[int]) -> int:
-    return rank(list(columns))
-
-
 def bits(v: int) -> list[int]:
     """Indices of set bits, ascending."""
     out = []
-    i = 0
     while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
-
-
-def from_bits(idxs) -> int:
-    v = 0
-    for i in idxs:
-        v |= 1 << i
-    return v

@@ -333,18 +333,6 @@ def geometry_report(seed: int = 0, samples: int = 200,
 # figure emission
 # --------------------------------------------------------------------------
 
-def sample_curve(points: list[tuple[float, float]], per_segment: int = 40
-                 ) -> list[tuple[float, float]]:
-    """Densely sample a piecewise-linear curve in the (theta, lam) strip."""
-    out = []
-    for (t0, l0), (t1, l1) in zip(points, points[1:]):
-        for i in range(per_segment):
-            s = i / per_segment
-            out.append((t0 + s * (t1 - t0), l0 + s * (l1 - l0)))
-    out.append(tuple(points[-1]))
-    return out
-
-
 def default_figure_curves(loop_points: int = 200) -> dict[str, list]:
     """Three boundary curves whose images qualitatively reproduce the
     triangle-and-bigons figure: the zero section maps onto the segment

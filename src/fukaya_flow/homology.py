@@ -54,7 +54,8 @@ class F2Presentation:
             rels.append(r if isinstance(r, int) else self.vector(r))
         self.relations = tuple(rels)
         self.classes = tuple(classes) if classes is not None else None
-        self._rref, self._pivots = f2.rref(list(self.relations))
+        self._rref, self._pivots = f2.rref(self.relations)
+        self._span = f2.Reducer(self._rref)
 
     # --- vector helpers -------------------------------------------------
 
@@ -82,7 +83,7 @@ class F2Presentation:
 
     def canonicalize(self, v: int) -> int:
         """Rewrite a vector in the canonical basis."""
-        return f2.reduce_vector(v, self._rref)
+        return f2.reduce_vector(v, self._span)
 
     def canonical_names(self, names: Iterable[str]) -> tuple[str, ...]:
         return self.names(self.canonicalize(self.vector(names)))

@@ -17,7 +17,6 @@ pure function.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -53,12 +52,6 @@ class LinkDiagram:
     @property
     def component_count(self) -> int:
         return len(self.components)
-
-    def component_of(self, arc: int) -> int:
-        for i, comp in enumerate(self.components):
-            if arc in comp:
-                return i
-        raise KeyError(arc)
 
     def component_map(self) -> dict[int, int]:
         return {a: i for i, comp in enumerate(self.components) for a in comp}
@@ -419,7 +412,3 @@ def fixture(name: str,
 
 def fixture_names() -> list[str]:
     return sorted(load_catalog())
-
-
-def dumps_link(fl: FramedLink) -> str:
-    return json.dumps(fl.to_json(), indent=2, sort_keys=True)

@@ -137,9 +137,6 @@ def winding_number(arcs: Sequence[LagrangianLineLoop | Sequence],
             "%d arcs but %d punctures" % (len(arc_list), boundary.punctures))
     exact = all(isinstance(a.total_over_pi(), Fraction) for a in arc_list)
 
-    def over_pi(x):
-        return x if isinstance(x, Fraction) else x / math.pi
-
     total = Fraction(0) if exact else 0.0
     for arc in arc_list:
         total = total + arc.total_over_pi()

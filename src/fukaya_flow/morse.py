@@ -239,9 +239,6 @@ class AffineMap:
     def target_dim(self):
         return len(self.rows)
 
-    def source_dim(self):
-        return len(self.rows[0]) if self.rows else 0
-
 
 def identity_map(n: int) -> AffineMap:
     return AffineMap(tuple(tuple(1 if i == j else 0 for j in range(n))
@@ -496,9 +493,6 @@ class CascadeComplex:
     def boundary(self, name: str) -> tuple[str, ...]:
         return tuple(self.differential.get(name, ()))
 
-    def boundary_columns(self) -> tuple[int, ...]:
-        return self._cols
-
     def homology_basis(self) -> tuple[str, ...]:
         """Representatives of a homology basis, chosen among single
         generators whenever possible."""
@@ -506,23 +500,17 @@ class CascadeComplex:
         cols = self._cols
         # seed the reducer with the image; anything it absorbs is zero
         # in homology
-        classes = f2.Reducer()
-        for c in cols:
-            if c:
-                classes.add(c)
+        classes = f2.Reducer(c for c in cols if c)
         reps = []
-        # single-generator cycles first
+        # single-generator cycles first; add() leaves a nonzero residual
+        # exactly for a cycle that is new in homology
         for g in self.generators:
-            if cols[index[g]] == 0:
-                v = 1 << index[g]
-                if classes.reduce(v) != 0:
-                    classes.add(v)
-                    reps.append(g)
+            if cols[index[g]] == 0 and classes.add(1 << index[g])[0]:
+                reps.append(g)
         # remaining kernel classes (cycles supported on several generators)
         kernel = f2.kernel_basis(list(cols))
         for combo in kernel:
-            if classes.reduce(combo) != 0:
-                classes.add(combo)
+            if classes.add(combo)[0]:
                 reps.append("+".join(self.generators[i]
                                      for i in f2.bits(combo)))
         return tuple(reps)

@@ -6,6 +6,10 @@ evaluate to zero in any representation.  Paths are tuples of arrow
 names in diagrammatic order (first arrow applied first), so a path
 (a, b) evaluates to matrix(b) @ matrix(a).
 
+Matrices are tuples of row bitmasks, as in f2: bit j of row i is the
+entry in column j, a product is a sum of rows and inverses come from
+the f2 eliminator's row combinations.
+
 Representations are checked exactly; isomorphism between small
 representations is decided by exhaustive search over invertible
 vertex-wise matrices, capped at dimension three per vertex
@@ -15,16 +19,17 @@ raise DimensionTooLarge rather than fall back to an unsound heuristic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
+from . import f2
 from .errors import DimensionTooLarge, ShapeMismatch
 from .flow import DirectedCategoryPresentation
 
 Path = tuple[str, ...]
+Matrix = tuple[int, ...]  # row bitmasks
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,10 @@ class QuiverRepresentation:
     dims: Mapping[str, int]
     matrices: Mapping[str, tuple[tuple[int, ...], ...]]  # arrow -> rows
 
-    def matrix(self, name: str) -> np.ndarray:
-        return np.array(self.matrices[name], dtype=np.int64) % 2
+    def matrix(self, name: str) -> Matrix:
+        """The arrow's matrix as row bitmasks, entries taken mod 2."""
+        return tuple(sum((x % 2) << j for j, x in enumerate(row))
+                     for row in self.matrices[name])
 
     def to_json(self) -> dict:
         return {
@@ -87,24 +94,41 @@ class QuiverRepresentation:
         }
 
 
+def _identity(n: int) -> Matrix:
+    return tuple(1 << i for i in range(n))
+
+
+def _mul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b: row i is the sum of the rows of b that row i of a selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for j in f2.bits(row):
+            acc ^= b[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _inverse(g: Matrix) -> Matrix:
+    """Row j of the inverse is the combination of the rows of g that
+    sums to the unit vector e_j."""
+    red = f2.Reducer(g)
+    inv = tuple(red.express(1 << j) for j in range(len(g)))
+    if None in inv:
+        raise ValueError("matrix is singular")
+    return inv
+
+
 def _check_shapes(q: QuiverPresentation, rep: QuiverRepresentation) -> None:
     for name, s, t in q.arrows:
         if name not in rep.matrices:
             raise ShapeMismatch("no matrix for arrow %r" % name)
-        mat = rep.matrix(name)
+        rows = rep.matrices[name]
         want = (rep.dims[t], rep.dims[s])
-        if mat.shape != want:
+        if len(rows) != want[0] or any(len(row) != want[1] for row in rows):
             raise ShapeMismatch(
-                "arrow %r needs shape %r, got %r" % (name, want, mat.shape))
-
-
-def _path_matrix(q: QuiverPresentation, rep: QuiverRepresentation,
-                 path: Path) -> np.ndarray:
-    src, _ = q.path_endpoints(path)
-    mat = np.eye(rep.dims[src], dtype=np.int64)
-    for name in path:
-        mat = (rep.matrix(name) @ mat) % 2
-    return mat
+                "arrow %r needs shape %r, got rows of lengths %r"
+                % (name, want, [len(row) for row in rows]))
 
 
 def check_relations(q: QuiverPresentation, rep: QuiverRepresentation
@@ -112,80 +136,39 @@ def check_relations(q: QuiverPresentation, rep: QuiverRepresentation
     """True iff every relation evaluates to the zero matrix; violations
     name the failing relations."""
     _check_shapes(q, rep)
+    mats = {name: rep.matrix(name) for name, _, _ in q.arrows}
     violations = []
     for rel in q.relations:
         src, tgt = q.path_endpoints(rel[0])
-        total = np.zeros((rep.dims[tgt], rep.dims[src]), dtype=np.int64)
+        total = (0,) * rep.dims[tgt]
         for path in rel:
-            total = (total + _path_matrix(q, rep, path)) % 2
-        if total.any():
+            mat = _identity(rep.dims[src])
+            for name in path:
+                mat = _mul(mats[name], mat)
+            total = tuple(x ^ y for x, y in zip(total, mat))
+        if any(total):
             violations.append(" + ".join(".".join(p) for p in rel))
     return not violations, violations
 
 
-def _gl_matrices(n: int) -> list[np.ndarray]:
-    if n == 0:
-        return [np.zeros((0, 0), dtype=np.int64)]
-    out = []
-    for bits in itertools.product((0, 1), repeat=n * n):
-        mat = np.array(bits, dtype=np.int64).reshape(n, n)
-        if _det2(mat):
-            out.append(mat)
-    return out
-
-
-def _det2(mat: np.ndarray) -> int:
-    m = mat.copy() % 2
-    n = m.shape[0]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r, c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[[c, piv]] = m[[piv, c]]
-        for r in range(n):
-            if r != c and m[r, c]:
-                m[r] = (m[r] + m[c]) % 2
-    return 1
-
-
-_GL_CACHE: dict[int, list[np.ndarray]] = {}
-
-
-def _gl(n: int) -> list[np.ndarray]:
-    if n not in _GL_CACHE:
-        if n > 3:
-            raise DimensionTooLarge(
-                "exhaustive search is capped at dimension 3, got %d" % n)
-        _GL_CACHE[n] = _gl_matrices(n)
-    return _GL_CACHE[n]
+@functools.lru_cache(maxsize=None)
+def _gl(n: int) -> list[Matrix]:
+    if n > 3:
+        raise DimensionTooLarge(
+            "exhaustive search is capped at dimension 3, got %d" % n)
+    return [g for g in itertools.product(range(1 << n), repeat=n)
+            if f2.rank(g) == n]
 
 
 def transform(q: QuiverPresentation, rep: QuiverRepresentation,
-              maps: Mapping[str, np.ndarray]) -> QuiverRepresentation:
+              maps: Mapping[str, Matrix]) -> QuiverRepresentation:
     """Base change of a representation by invertible vertex maps."""
     new = {}
     for name, s, t in q.arrows:
-        g_t = maps[t]
-        g_s_inv = _inverse2(maps[s])
-        new[name] = tuple(tuple(int(x) for x in row)
-                          for row in (g_t @ rep.matrix(name) @ g_s_inv) % 2)
+        mat = _mul(_mul(maps[t], rep.matrix(name)), _inverse(maps[s]))
+        new[name] = tuple(tuple((row >> j) & 1 for j in range(rep.dims[s]))
+                          for row in mat)
     return QuiverRepresentation(dict(rep.dims), new)
-
-
-def _inverse2(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat.copy() % 2, np.eye(n, dtype=np.int64)], axis=1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r, c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            aug[[c, piv]] = aug[[piv, c]]
-        for r in range(n):
-            if r != c and aug[r, c]:
-                aug[r] = (aug[r] + aug[c]) % 2
-    return aug[:, n:]
 
 
 def isomorphic(q: QuiverPresentation, rep1: QuiverRepresentation,
@@ -204,17 +187,10 @@ def isomorphic(q: QuiverPresentation, rep1: QuiverRepresentation,
     mats1 = {name: rep1.matrix(name) for name, _, _ in q.arrows}
     mats2 = {name: rep2.matrix(name) for name, _, _ in q.arrows}
     vert_index = {v: i for i, v in enumerate(q.vertices)}
-    for choice in itertools.product(*groups):
-        ok = True
-        for name, s, t in q.arrows:
-            g_s = choice[vert_index[s]]
-            g_t = choice[vert_index[t]]
-            if (((g_t @ mats1[name]) % 2) != ((mats2[name] @ g_s) % 2)).any():
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(all(_mul(choice[vert_index[t]], mats1[name])
+                   == _mul(mats2[name], choice[vert_index[s]])
+                   for name, s, t in q.arrows)
+               for choice in itertools.product(*groups))
 
 
 def orbit(q: QuiverPresentation, rep: QuiverRepresentation
@@ -227,17 +203,15 @@ def orbit(q: QuiverPresentation, rep: QuiverRepresentation
     for choice in itertools.product(*groups):
         key = []
         for name, s, t in q.arrows:
-            g_s_inv = _inverse2(choice[vert_index[s]])
+            g_s_inv = _inverse(choice[vert_index[s]])
             g_t = choice[vert_index[t]]
-            mat = (g_t @ rep.matrix(name) @ g_s_inv) % 2
-            key.append((name, tuple(map(tuple, mat.tolist()))))
+            key.append((name, _mul(_mul(g_t, rep.matrix(name)), g_s_inv)))
         seen.add(tuple(key))
     return seen
 
 
 def rep_key(q: QuiverPresentation, rep: QuiverRepresentation) -> tuple:
-    return tuple((name, tuple(map(tuple, rep.matrix(name).tolist())))
-                 for name, _, _ in q.arrows)
+    return tuple((name, rep.matrix(name)) for name, _, _ in q.arrows)
 
 
 # --------------------------------------------------------------------------
@@ -287,14 +261,9 @@ def regular_representation(cat: DirectedCategoryPresentation
             col = [1 if g == u else 0 for g in basis]
             mats[u] = tuple((c,) for c in col)
         for v in cat.hom_mid_bottom[j].generators:
-            rows = []
-            for w in bottom_basis:
-                row = []
-                for u in basis:
-                    out = cat.compose(j, u, v)
-                    row.append(1 if w in out else 0)
-                rows.append(tuple(row))
-            mats[v] = tuple(rows)
+            outs = [cat.compose(j, u, v) for u in basis]
+            mats[v] = tuple(tuple(1 if w in out else 0 for out in outs)
+                            for w in bottom_basis)
     for w in bottom_basis:
         col = [1 if g == w else 0 for g in bottom_basis]
         mats[w] = tuple((c,) for c in col)

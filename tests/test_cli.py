@@ -2,7 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+import fukaya_flow
 from fukaya_flow.cli import main
 
 
@@ -186,3 +191,33 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-theorem-b", "--fixture", "unknot")
     assert code == 1
     assert "forced mismatch" in err
+
+
+def _python(*args):
+    """Run a fresh interpreter on the package under test."""
+    root = os.path.dirname(os.path.dirname(fukaya_flow.__file__))
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=root),
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("maslov", "--loop", "5"),
+    ("maslov", "--loop", '[[0,0],[1,"x"]]'),
+    ("maslov", "--loop", "[[0,0],[1,Infinity]]"),
+    ("maslov", "--arcs", "3"),
+    ("glued-index", "--parts", "[1]"),
+    ("glued-index", "--parts", "[]", "--gluings", "[1]"),
+    ("glued-index",),
+])
+def test_malformed_json_arguments_exit_2(argv):
+    proc = _python("-m", "fukaya_flow.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_exact_pipeline_does_not_import_numpy():
+    proc = _python("-c", "import sys, fukaya_flow, fukaya_flow.cli, "
+                   "fukaya_flow.quiver; print('numpy' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr

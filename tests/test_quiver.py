@@ -107,6 +107,16 @@ def test_isomorphic_is_equivalence_relation():
             assert isomorphic(q, r1, r3)
 
 
+def test_gl_inverse():
+    for n, order in ((1, 1), (2, 6), (3, 168)):
+        group = quiver._gl(n)
+        assert len(group) == order
+        for g in group:
+            inv = quiver._inverse(g)
+            assert quiver._mul(inv, g) == quiver._identity(n)
+            assert quiver._mul(g, inv) == quiver._identity(n)
+
+
 def test_check_relations_invariant_under_isomorphism():
     rng = random.Random(37)
     q = cp2_quiver()
