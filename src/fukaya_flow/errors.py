@@ -58,6 +58,10 @@ class ActionOrderViolation(FukayaFlowError):
     """A correspondence does not strictly decrease the action level."""
 
 
+class UnknownGenerator(FukayaFlowError):
+    """A generator name belongs to no critical component."""
+
+
 # --- index calculus ---
 
 class NotClosed(FukayaFlowError):

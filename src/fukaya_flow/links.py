@@ -13,13 +13,22 @@ express; these are needed for round unknots and split unlinks.
 
 All values are immutable after construction and every operation is a
 pure function.
+
+Cost: a diagram computes its arc -> component map and a per-crossing
+(under, over) component table once, on first use, and every consumer
+(crossing_components, linking_number, self_writhe, linking_matrix)
+reads that table.  Parsing is linear in the number n of crossings, and
+the linking matrix of a k-component diagram is one pass over the
+crossings, O(n + k^2).
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -53,14 +62,24 @@ class LinkDiagram:
     def component_count(self) -> int:
         return len(self.components)
 
-    def component_map(self) -> dict[int, int]:
+    # Both tables are computed once per diagram and stored in the
+    # instance dict; the dataclass fields, equality and hash are unchanged.
+    @cached_property
+    def _arc_components(self) -> dict[int, int]:
         return {a: i for i, comp in enumerate(self.components) for a in comp}
+
+    @cached_property
+    def _crossing_table(self) -> tuple[tuple[int, int], ...]:
+        cmap = self._arc_components
+        return tuple((cmap[a], cmap[b]) for a, b, _, _ in self.crossings)
+
+    def component_map(self) -> dict[int, int]:
+        """Arc label -> component index (shared; do not mutate)."""
+        return self._arc_components
 
     def crossing_components(self, c: int) -> tuple[int, int]:
         """(under component, over component) of crossing c."""
-        cmap = self.component_map()
-        a, b, _, _ = self.crossings[c]
-        return cmap[a], cmap[b]
+        return self._crossing_table[c]
 
     def to_pd_text(self) -> str:
         parts = ["X(%d,%d,%d,%d)" % q for q in self.crossings]
@@ -205,6 +224,8 @@ def _resolve_orientations(
         queue.append(ci)
 
     queue = list(range(len(quadruples)))
+    # crossings below first_free are all decided; over_head only grows
+    first_free = 0
     while True:
         while queue:
             ci = queue.pop()
@@ -224,14 +245,14 @@ def _resolve_orientations(
                     raise InconsistentOrientation(
                         "arc %d has two %s" % (quad[p],
                                                "heads" if role else "tails"))
-        undecided = [ci for ci in range(len(quadruples))
-                     if ci not in over_head]
-        if not undecided:
+        while first_free < len(quadruples) and first_free in over_head:
+            first_free += 1
+        if first_free == len(quadruples):
             break
         # components that only cross over: free choice, made deterministic
         # by letting the smaller over-arc of the first undecided crossing
         # leave it (the other over position takes the incoming role)
-        ci = min(undecided)
+        ci = first_free
         smallest_pos = 1 if quadruples[ci][1] <= quadruples[ci][3] else 3
         set_over_head(ci, 4 - smallest_pos, queue)
     return [over_head[ci] == 3 for ci in range(len(quadruples))]
@@ -274,8 +295,10 @@ def parse_pd(text: str, allow_empty: bool = False) -> LinkDiagram:
         if allow_empty:
             return LinkDiagram((), (), (), (), ())
         raise MalformedToken("empty PD code (pass allow_empty to accept)")
+    circle_counts = Counter(circles)
+    crossing_arcs = {arc for q in quadruples for arc in q}
     for arc in circles:
-        if circles.count(arc) > 1 or any(arc in q for q in quadruples):
+        if circle_counts[arc] > 1 or arc in crossing_arcs:
             raise ArcLabelNotPairedTwice(
                 "circle arc %d reused elsewhere" % arc)
     over_to_b = _resolve_orientations(quadruples)
@@ -287,6 +310,15 @@ def parse_pd(text: str, allow_empty: bool = False) -> LinkDiagram:
                        components, tuple(over_to_b), signs)
 
 
+def _halve(total: int, i: int, j: int) -> int:
+    """Linking number from the signed count of crossings between
+    components i and j, which must be even."""
+    if total % 2 != 0:
+        raise InconsistentOrientation(
+            "odd signed crossing count between components %d and %d" % (i, j))
+    return total // 2
+
+
 def linking_number(diagram: LinkDiagram, i: int, j: int) -> int:
     """Half the signed count of crossings between components i and j."""
     if i == j:
@@ -295,39 +327,39 @@ def linking_number(diagram: LinkDiagram, i: int, j: int) -> int:
     k = diagram.component_count
     if not (0 <= i < k and 0 <= j < k):
         raise IndexError("component index out of range")
-    total = 0
-    for c in range(len(diagram.crossings)):
-        cu, co = diagram.crossing_components(c)
-        if {cu, co} == {i, j}:
-            total += diagram.signs[c]
-    if total % 2 != 0:
-        raise InconsistentOrientation(
-            "odd signed crossing count between components %d and %d" % (i, j))
-    return total // 2
+    pair = {i, j}
+    total = sum(sign for (cu, co), sign
+                in zip(diagram._crossing_table, diagram.signs)
+                if {cu, co} == pair)
+    return _halve(total, i, j)
 
 
 def self_writhe(diagram: LinkDiagram, j: int) -> int:
     """Signed count of self-crossings of component j."""
-    total = 0
-    for c in range(len(diagram.crossings)):
-        cu, co = diagram.crossing_components(c)
-        if cu == j and co == j:
-            total += diagram.signs[c]
-    return total
+    return sum(sign for (cu, co), sign
+               in zip(diagram._crossing_table, diagram.signs)
+               if cu == j and co == j)
 
 
 def linking_matrix(fl: FramedLink) -> LinkingMatrix:
     """Symmetric matrix with lk(K_i, K_j) off the diagonal and the
-    framing coefficients m_j on it."""
+    framing coefficients m_j on it.
+
+    One pass over the crossings sums the crossing signs per (under,
+    over) component pair; the cost is O(n + k^2).
+    """
     d = fl.diagram
     k = d.component_count
-    rows = []
+    signed = [[0] * k for _ in range(k)]
+    for (cu, co), sign in zip(d._crossing_table, d.signs):
+        signed[cu][co] += sign
+    rows = [[0] * k for _ in range(k)]
     for i in range(k):
-        row = []
-        for j in range(k):
-            row.append(fl.framings[i] if i == j else linking_number(d, i, j))
-        rows.append(tuple(row))
-    return LinkingMatrix(tuple(rows))
+        rows[i][i] = fl.framings[i]
+        for j in range(i + 1, k):
+            rows[i][j] = rows[j][i] = _halve(signed[i][j] + signed[j][i],
+                                             i, j)
+    return LinkingMatrix(tuple(map(tuple, rows)))
 
 
 def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:

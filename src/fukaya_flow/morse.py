@@ -28,7 +28,8 @@ from typing import Mapping, Optional
 
 from . import f2
 from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
-                     NonPlanarPD, NonTransverse, UnsupportedModel)
+                     NonPlanarPD, NonTransverse, UnknownGenerator,
+                     UnsupportedModel)
 from .homology import F2Presentation, GradedClass
 from .links import FramedLink, LinkDiagram, self_writhe
 
@@ -760,8 +761,11 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
             comp_x = c
         if y in c.generator_names():
             comp_y = c
-    if comp_x is None or comp_y is None:
-        raise KeyError("unknown generators %r, %r" % (x, y))
+    unknown = dict.fromkeys(name for name, comp
+                            in ((x, comp_x), (y, comp_y)) if comp is None)
+    if unknown:
+        raise UnknownGenerator(
+            "unknown generator %s" % ", ".join(map(repr, unknown)))
 
     if k == 0:
         if comp_x.name != comp_y.name:

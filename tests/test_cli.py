@@ -221,3 +221,13 @@ def test_exact_pipeline_does_not_import_numpy():
     proc = _python("-c", "import sys, fukaya_flow, fukaya_flow.cli, "
                    "fukaya_flow.quiver; print('numpy' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_unknown_cascade_generator_exit_2():
+    proc = _python("-m", "fukaya_flow.cli", "cascade-diagnostics",
+                   "--source", "nope", "--target", "a1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "nope" in proc.stderr
+    assert "a1" not in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,8 +1,10 @@
 """PD parsing, orientation, linking numbers, and the framed matrix."""
 
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fukaya_flow import errors, links
 from fukaya_flow.links import (FramedLink, fixture, fixture_names,
@@ -207,3 +209,120 @@ def test_catalog_env_override(tmp_path, monkeypatch):
     assert fl.framings == (4,)
     with pytest.raises(KeyError):
         fixture("hopf")
+
+
+# --- the linking matrix against an independent count ---------------------
+
+def braid_closure_pd(strands, word):
+    """PD text of the closure of a braid word.
+
+    Letters are +i or -i for 1 <= i < strands; strands run upward and in
+    +i the strand at position i-1 crosses over the one at position i,
+    a positive crossing.  Positions no letter touches close up into
+    crossingless circles.
+    """
+    start = list(range(1, strands + 1))
+    cur = list(start)
+    fresh = strands + 1
+    quads = []
+    for letter in word:
+        p = abs(letter) - 1
+        left, right = cur[p], cur[p + 1]
+        new_left, new_right = fresh, fresh + 1
+        fresh += 2
+        if letter > 0:
+            # under-strand right -> top left, over-strand left -> top right
+            quads.append((right, new_right, new_left, left))
+        else:
+            # under-strand left -> top right, over-strand right -> top left
+            quads.append((left, right, new_right, new_left))
+        cur[p], cur[p + 1] = new_left, new_right
+    # closure: the top arc at each position is the bottom arc there
+    alias = dict(zip(cur, start))
+    parts = ["X(%d,%d,%d,%d)" % tuple(alias.get(a, a) for a in q)
+             for q in quads]
+    parts += ["O(%d)" % a for a, top in zip(start, cur) if a == top]
+    return ",".join(parts)
+
+
+def full_twist(strands, sign=1):
+    return [sign * i for _ in range(strands) for i in range(1, strands)]
+
+
+def over_count(d, i, j):
+    """Signed count of the crossings where component i passes over
+    component j: lk(K_i, K_j), with no halving."""
+    over, under = set(d.components[i]), set(d.components[j])
+    return sum(sign for (a, b, _, _), sign in zip(d.crossings, d.signs)
+               if b in over and a in under)
+
+
+def relabel_pd(text, relabel):
+    return re.sub(r"\d+", lambda m: str(relabel[int(m.group())]), text)
+
+
+_braids = st.integers(2, 4).flatmap(lambda s: st.tuples(
+    st.just(s), st.lists(st.integers(1, s - 1).flatmap(
+        lambda i: st.sampled_from((i, -i))), max_size=8)))
+_parts = st.one_of(st.sampled_from(sorted(links.load_catalog())),
+                   _braids)
+
+
+@st.composite
+def shuffled_unions(draw):
+    """A disjoint union of catalog links and small braid closures with
+    its arc labels permuted and its crossings shuffled, and framings."""
+    texts = []
+    offset = 0
+    catalog = links.load_catalog()
+    for part in draw(st.lists(_parts, min_size=1, max_size=5)):
+        text = catalog[part][0] if isinstance(part, str) \
+            else braid_closure_pd(*part)
+        labels = sorted({int(n) for n in re.findall(r"\d+", text)})
+        texts.append(relabel_pd(text, {a: a + offset for a in labels}))
+        offset += labels[-1]
+    tokens = re.findall(r"[XO]\([^)]*\)", ",".join(texts))
+    perm = draw(st.permutations(range(1, offset + 1)))
+    relabel = dict(zip(range(1, offset + 1), perm))
+    tokens = draw(st.permutations(tokens))
+    d = parse_pd(relabel_pd(",".join(tokens), relabel))
+    framings = draw(st.lists(st.integers(-2, 2), min_size=d.component_count,
+                             max_size=d.component_count))
+    return FramedLink(d, tuple(framings))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(shuffled_unions())
+def test_linking_matrix_matches_over_count(fl):
+    d = fl.diagram
+    m = linking_matrix(fl).entries
+    for i, j in itertools.product(range(d.component_count), repeat=2):
+        if i == j:
+            assert m[i][i] == fl.framings[i]
+        else:
+            assert m[i][j] == over_count(d, i, j) == linking_number(d, i, j)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(shuffled_unions(), st.data())
+def test_reversal_flips_row_and_column(fl, data):
+    k = fl.diagram.component_count
+    comp = data.draw(st.integers(0, k - 1))
+    before = linking_matrix(fl).entries
+    after = linking_matrix(
+        FramedLink(reverse_component(fl.diagram, comp), fl.framings)).entries
+    for i, j in itertools.product(range(k), repeat=2):
+        flip = -1 if (i == comp) != (j == comp) else 1
+        assert after[i][j] == flip * before[i][j]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_full_twist_64_strands(sign):
+    # 64 components and 4032 crossings: every pair of strands links
+    # once, with the sign of the twist
+    d = parse_pd(braid_closure_pd(64, full_twist(64, sign)))
+    assert d.component_count == 64
+    assert len(d.crossings) == 64 * 63
+    m = linking_matrix(FramedLink(d, (0,) * 64)).entries
+    assert all(m[i][j] == (0 if i == j else sign)
+               for i in range(64) for j in range(64))
