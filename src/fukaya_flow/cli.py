@@ -47,8 +47,8 @@ def _write_out(text: str, path: str | None) -> None:
         raise IOFailure("cannot write %s: %s" % (path, exc)) from exc
 
 
-def _add_link_input(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
+def _add_link_input(sub: argparse.ArgumentParser, required: bool) -> None:
+    group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--pd", help="inline PD code")
     group.add_argument("--file", help="path to a file holding a PD code")
     group.add_argument("--fixture", help="name from the fixture catalog")
@@ -302,7 +302,21 @@ def cmd_glued_index(args) -> int:
     return 0
 
 
+def _check_numeric_args(args) -> None:
+    """Refuse counts below 1 and a non-finite --lambda-max: the numeric
+    checks would pass vacuously or divide by zero."""
+    for flag in ("grid_n", "samples"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise MalformedArgument("--%s must be at least 1, got %d"
+                                    % (flag.replace("_", "-"), value))
+    if args.lambda_max is not None and not math.isfinite(args.lambda_max):
+        raise MalformedArgument("--lambda-max must be finite, got %s"
+                                % args.lambda_max)
+
+
 def cmd_geometry_check(args) -> int:
+    _check_numeric_args(args)
     from . import geometry  # numpy is needed by the numeric checks only
     report = geometry.geometry_report(seed=args.seed, samples=args.samples,
                                       grid_thetas=args.grid_n,
@@ -320,6 +334,7 @@ def cmd_geometry_check(args) -> int:
 
 
 def cmd_emit_figure(args) -> int:
+    _check_numeric_args(args)
     from . import geometry
     curves = geometry.default_figure_curves(loop_points=args.grid_n)
     if args.lambda_max is not None:
@@ -356,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", help="output path (default stdout)")
         if link_input:
-            _add_link_input(p)
+            _add_link_input(p, required=True)
         return p
 
     add("parse-link", cmd_parse_link, link_input=True)
@@ -372,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("morse-bott", cmd_morse_bott, ("text", "json"))
     p.add_argument("mode", choices=("case-I", "handles"))
     p.add_argument("--pair", choices=("upper", "lower"), default="upper")
-    _add_link_input_optional(p)
+    _add_link_input(p, required=False)
 
     p = add("cascade-diagnostics", cmd_cascade_diagnostics,
             ("text", "json"))
@@ -410,16 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float, default=None)
 
     return parser
-
-
-def _add_link_input_optional(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=False)
-    group.add_argument("--pd")
-    group.add_argument("--file")
-    group.add_argument("--fixture")
-    p.add_argument("--framings")
-    p.add_argument("--allow-empty", action="store_true")
-    p.add_argument("--no-fixtures", action="store_true")
 
 
 def main(argv=None) -> int:

@@ -220,6 +220,12 @@ def random_unit2(rng: np.random.Generator) -> np.ndarray:
     return np.array([math.cos(ang), math.sin(ang)])
 
 
+def _worse(worst: float, err: float) -> float:
+    """max(worst, err), except that NaN wins: the builtin max drops a NaN
+    err (nan > worst is False), so a NaN error would read as no error."""
+    return err if err > worst or err != err else worst
+
+
 def roundtrip_errors(rng: np.random.Generator, samples: int
                      ) -> tuple[float, float]:
     """Max componentwise errors of mu_inv(mu(z)) and mu(mu_inv(p))."""
@@ -228,14 +234,13 @@ def roundtrip_errors(rng: np.random.Generator, samples: int
     for _ in range(samples):
         z = random_quadric_point(rng)
         back = mu_inv(mu(z)).array()
-        worst_z = max(worst_z, float(np.max(np.abs(back - z.array()))))
+        worst_z = _worse(worst_z, float(np.max(np.abs(back - z.array()))))
         p = random_cotangent_point(rng, scale=2.0)
         q = mu(mu_inv(p))
         u0, v0 = p.arrays()
         u1, v1 = q.arrays()
-        worst_p = max(worst_p,
-                      float(np.max(np.abs(u1 - u0))),
-                      float(np.max(np.abs(v1 - v0))))
+        worst_p = _worse(_worse(worst_p, float(np.max(np.abs(u1 - u0)))),
+                         float(np.max(np.abs(v1 - v0))))
     return worst_z, worst_p
 
 
@@ -254,7 +259,7 @@ def p_image_errors(rng: np.random.Generator, grid_thetas: int = 48,
             expected = p_image(theta, lam)
             for e, f in pairs:
                 z = mu_inv(sigma(e, f, theta, lam)).array()
-                worst = max(worst, abs(quadratic(z) - expected))
+                worst = _worse(worst, abs(quadratic(z) - expected))
     return worst
 
 
@@ -310,7 +315,7 @@ def symplectic_pullback_error(rng: np.random.Generator,
         rhs = float(z0.imag @ dx)
 
         scale = max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = _worse(worst, abs(lhs - rhs) / scale)
     return worst
 
 

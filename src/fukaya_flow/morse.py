@@ -2,8 +2,12 @@
 
 Critical components are points, circles R/Z, or tori (R/Z)^2 with
 product Morse data; all coordinates are rational, unstable and stable
-sets are axis-aligned cells, and every intersection is decided exactly.
-No floating point enters this module.
+sets are axis-aligned cells, and every intersection is decided exactly
+by one rational eliminator (RationalReducer) and a search over D^r
+lattice translates (see intersect_cell_groups).  NonTransverse is
+raised only for a rank-deficient overlap that is consistent and for a
+point on a cell boundary or at a deleted marked point; an inconsistent
+overlap is empty.  No floating point enters this module.
 
 A correspondence packages the strip moduli between two components: a
 product cell (R/Z)^m with two affine evaluation maps into the source
@@ -22,6 +26,7 @@ single 3-handle killing the sum of the torus fundamental classes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -72,20 +77,13 @@ class CircleProfile:
         n = len(self.points)
         return (i - 1) % n, (i + 1) % n
 
-    def unstable_cell(self, i: int):
+    def cell(self, i: int, stable: bool):
+        """The stable (else unstable) cell of point i: the point itself
+        at a maximum (else minimum), otherwise the open arc between its
+        neighbors, or the circle minus the other point if there are
+        two."""
         pos, idx = self.points[i]
-        if idx == 0:
-            return ("pt", pos)
-        left, right = self.neighbors(i)
-        if len(self.points) == 2:
-            return ("copt", self.points[left][0])
-        a = self.points[left][0]
-        b = self.points[right][0]
-        return ("arc", a, _mod1(b - a) if b != a else Frac(1))
-
-    def stable_cell(self, i: int):
-        pos, idx = self.points[i]
-        if idx == 1:
+        if idx == stable:
             return ("pt", pos)
         left, right = self.neighbors(i)
         if len(self.points) == 2:
@@ -153,10 +151,10 @@ class CircleModel:
         return self.names.index(name)
 
     def unstable(self, name):
-        return (self.profile.unstable_cell(self._i(name)),)
+        return (self.profile.cell(self._i(name), False),)
 
     def stable(self, name):
-        return (self.profile.stable_cell(self._i(name)),)
+        return (self.profile.cell(self._i(name), True),)
 
     def boundary(self, name):
         return tuple(self.names[i] for i in self.profile.boundary(self._i(name)))
@@ -193,12 +191,11 @@ class TorusModel:
 
     def unstable(self, name):
         i, j = self._key(name)
-        return (self.profile_x.unstable_cell(i),
-                self.profile_y.unstable_cell(j))
+        return (self.profile_x.cell(i, False), self.profile_y.cell(j, False))
 
     def stable(self, name):
         i, j = self._key(name)
-        return (self.profile_x.stable_cell(i), self.profile_y.stable_cell(j))
+        return (self.profile_x.cell(i, True), self.profile_y.cell(j, True))
 
     def boundary(self, name):
         i, j = self._key(name)
@@ -272,23 +269,71 @@ class Correspondence:
 # exact intersection counting
 # --------------------------------------------------------------------------
 
-def _q_rank(rows: list[tuple[int, ...]]) -> int:
-    mat = [list(map(Frac, r)) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c] / mat[r][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        rank += 1
-    return rank
+class RationalReducer:
+    """Incremental Gauss-Jordan eliminator over Q with combination
+    tracking, the rational counterpart of f2.Reducer.
+
+    Rows are numbered in the order they are added.  Each pivot row is
+    kept fully reduced (a 1 at its pivot, 0 at every other pivot) and is
+    stored with its combination: {added row number: coefficient}, the
+    added rows whose weighted sum it is.  Only rows that raised the rank
+    ever appear in a combination.
+    """
+
+    def __init__(self) -> None:
+        self._pivots: dict[int, tuple[list[Frac], dict[int, Frac]]] = {}
+        self._count = 0
+
+    def reduce(self, v) -> tuple[list[Frac], dict[int, Frac]]:
+        """(residual, combo): v minus the combination combo of added
+        rows.  The residual is 0 in every pivot column; it is zero
+        exactly when v lies in the span."""
+        v = [Frac(a) for a in v]
+        combo: dict[int, Frac] = {}
+        # a pivot row is 0 at the other pivots, so one sweep clears all
+        for p, (row, row_combo) in self._pivots.items():
+            f = v[p]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+                combo = _combine(combo, f, row_combo)
+        return v, combo
+
+    def add(self, v) -> tuple[list[Frac], dict[int, Frac]]:
+        """Add v as the next row.  Returns (residual, combo) as for
+        reduce; a zero residual means v is exactly the combination combo
+        of the rows before it."""
+        v, combo = self.reduce(v)
+        n = self._count
+        self._count += 1
+        p = next((c for c, a in enumerate(v) if a), None)
+        if p is not None:
+            f = v[p]
+            row = [a / f for a in v]
+            row_combo = _combine({n: 1 / f}, -1 / f, combo)
+            for q, (other, other_combo) in list(self._pivots.items()):
+                g = other[p]
+                if g:
+                    self._pivots[q] = ([a - g * b for a, b in zip(other, row)],
+                                       _combine(other_combo, -g, row_combo))
+            self._pivots[p] = (row, row_combo)
+        return v, combo
+
+    def pivot_combos(self) -> list[dict[int, Frac]]:
+        """The pivot rows' combinations, by pivot column."""
+        return [self._pivots[p][1] for p in sorted(self._pivots)]
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+
+def _combine(x: dict[int, Frac], f: Frac, y: dict[int, Frac]
+             ) -> dict[int, Frac]:
+    """x + f * y for row combinations, without zero coefficients."""
+    out = dict(x)
+    for i, c in y.items():
+        out[i] = out.get(i, 0) + f * c
+    return {i: c for i, c in out.items() if c}
 
 
 def _constraints(ev: AffineMap, cell) -> tuple[list, list]:
@@ -302,61 +347,9 @@ def _constraints(ev: AffineMap, cell) -> tuple[list, list]:
             opens.append((row, off, "arc", coord_cell[1], coord_cell[2]))
         elif kind == "copt":
             opens.append((row, off, "copt", coord_cell[1]))
-        elif kind == "full":
-            pass
         else:
             raise UnsupportedModel("unknown cell kind %r" % (kind,))
     return eqs, opens
-
-
-def _dependent_consistent(eqs: list) -> bool:
-    """Whether a Q-dependent system row.w = rhs (mod 1) admits solutions.
-
-    Vanishing Q-combinations are scaled to primitive integer vectors y
-    and tested for y.rhs integral; exact for the integral dependencies
-    arising from flat cells.
-    """
-    rows = [list(map(Frac, r)) for r, _ in eqs]
-    rhs = [b for _, b in eqs]
-    n = len(rows)
-    combos = [[Frac(int(i == j)) for j in range(n)] for i in range(n)]
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        combos[r], combos[piv] = combos[piv], combos[r]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c] / rows[r][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-                combos[i] = [a - factor * b
-                             for a, b in zip(combos[i], combos[r])]
-        r += 1
-    for i in range(n):
-        if any(v != 0 for v in rows[i]):
-            continue
-        denom = 1
-        for v in combos[i]:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
-        ints = [int(v * denom) for v in combos[i]]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(v))
-        if g:
-            ints = [v // g for v in ints]
-        val = sum(Frac(y) * b for y, b in zip(ints, rhs))
-        if val.denominator != 1:
-            return False
-    return True
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -374,50 +367,60 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
                           ) -> IntersectionDescription:
     """Exact description of the mutual intersection of pulled-back open
     cells on (R/Z)^m, one (equations, open conditions) pair per cell.
-    Raises NonTransverse on rank-deficient overlaps and on candidate
-    points meeting a cell boundary."""
-    ranks = [_q_rank([r for r, _ in eqs]) for eqs, _ in groups]
-    eqs = [eq for group_eqs, _ in groups for eq in group_eqs]
+
+    One RationalReducer pass over all equations row.w = rhs (mod 1)
+    finds the r independent rows A, each dependent row's exact
+    combination of them and the solution map.  Writing the independent
+    equations as A w = rhs + n with n in Z^r, the dependent equations
+    and the solutions mod 1 depend on n only modulo D, the lcm of the
+    denominators in the pivot combinations: D Z^r lies in A Z^m.  So
+    the search visits exactly the D^r translates n in [0, D)^r.
+
+    The cells overlap rank-deficiently (the rank of all equations is
+    below the sum of the cells' ranks) exactly when a dependent row's
+    combination uses another cell's rows.  Such an overlap raises
+    NonTransverse if some translate satisfies every equation, and is
+    empty otherwise.  A finite candidate set also raises NonTransverse
+    when a candidate point meets a cell boundary."""
+    red = RationalReducer()
+    rhs, owner, independent, dependent = [], [], [], []
+    overlap = False
+    for g, (eqs, _) in enumerate(groups):
+        for row, b in eqs:
+            residual, combo = red.add(row)
+            if any(residual):
+                independent.append(len(rhs))
+            else:
+                dependent.append((combo, b))
+                overlap = overlap or any(owner[i] != g for i in combo)
+            rhs.append(b)
+            owner.append(g)
     opens = [op for _, group_opens in groups for op in group_opens]
-    rank_all = _q_rank([r for r, _ in eqs])
+    r = red.rank
+    if r < m and not overlap:
+        return IntersectionDescription(dim=m - r)
 
-    if rank_all < sum(ranks):
-        if _dependent_consistent(eqs):
-            raise NonTransverse(
-                "rank-deficient cell overlap; perturb marked points")
-        return IntersectionDescription(dim=m - rank_all, empty=True)
-
-    if rank_all < m:
-        return IntersectionDescription(dim=m - rank_all)
-
-    # finite candidate set: enumerate lattice translates exhaustively
-    chosen: list[tuple[tuple[int, ...], Frac]] = []
-    for row, rhs in eqs:
-        if _q_rank([r for r, _ in chosen] + [row]) > len(chosen):
-            chosen.append((row, rhs))
-    matrix = [list(map(Frac, r)) for r, _ in chosen]
-    rhsv = [b for _, b in chosen]
-    bounds = []
-    for row, rhs in chosen:
-        bounds.append(sum(abs(v) for v in row) + int(abs(rhs)) + 1)
+    solution = red.pivot_combos()
+    lcm = math.lcm(*(c.denominator for combo in solution
+                     for c in combo.values()))
     candidates: set[tuple[Frac, ...]] = set()
-    for shift in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        target = [rhsv[i] + shift[i] for i in range(m)]
-        sol = _solve_square(matrix, target)
-        if sol is not None:
-            candidates.add(tuple(_mod1(x) for x in sol))
+    for n in itertools.product(range(lcm), repeat=r):
+        target = {i: rhs[i] + k for i, k in zip(independent, n)}
+        if all(_mod1(_at(combo, target) - b) == 0 for combo, b in dependent):
+            if overlap:
+                raise NonTransverse(
+                    "rank-deficient cell overlap; perturb marked points")
+            candidates.add(tuple(_mod1(_at(combo, target))
+                                 for combo in solution))
+    if overlap:
+        return IntersectionDescription(dim=m - r, empty=True)
+
     survivors = []
     for w in sorted(candidates):
         ok = True
-        for row, rhs in eqs:
-            if _mod1(sum(Frac(a) * x for a, x in zip(row, w)) - rhs) != 0:
-                ok = False
-                break
-        if not ok:
-            continue
         for op in opens:
             row, off = op[0], op[1]
-            val = _mod1(sum(Frac(a) * x for a, x in zip(row, w)) + off)
+            val = _mod1(sum(a * x for a, x in zip(row, w)) + off)
             if op[2] == "arc":
                 t = _mod1(val - op[3])
                 if t == 0 or t == op[4]:
@@ -438,25 +441,9 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
                                    empty=not survivors)
 
 
-def intersect_cells(m: int, eqs_a: list, opens_a: list,
-                    eqs_b: list, opens_b: list) -> IntersectionDescription:
-    return intersect_cell_groups(m, [(eqs_a, opens_a), (eqs_b, opens_b)])
-
-
-def _solve_square(matrix: list[list[Frac]], rhs: list[Frac]
-                  ) -> Optional[list[Frac]]:
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                factor = a[i][c] / a[c][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
-    return [a[i][n] / a[i][i] for i in range(n)]
+def _at(combo: dict[int, Frac], target: dict[int, Frac]) -> Frac:
+    """A combination of equations evaluated at right-hand sides."""
+    return sum((c * target[i] for i, c in combo.items()), Frac(0))
 
 
 # --------------------------------------------------------------------------
@@ -573,12 +560,9 @@ def homology(complex_: CascadeComplex) -> F2Presentation:
 
 def _cross_count(source: CriticalComponent, target: CriticalComponent,
                  corr: Correspondence, x: str, y: str) -> int:
-    ucell = source.model.unstable(x)
-    scell = target.model.stable(y)
-    eqs_a, opens_a = _constraints(corr.ev_minus, ucell)
-    eqs_b, opens_b = _constraints(corr.ev_plus, scell)
-    desc = intersect_cells(corr.dim, eqs_a, opens_a, eqs_b, opens_b)
-    return desc.count_mod2
+    groups = [_constraints(corr.ev_minus, source.model.unstable(x)),
+              _constraints(corr.ev_plus, target.model.stable(y))]
+    return intersect_cell_groups(corr.dim, groups).count_mod2
 
 
 def differential_case_I(source: CriticalComponent,
@@ -770,12 +754,10 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
     if k == 0:
         if comp_x.name != comp_y.name:
             return []
-        eqs_a, opens_a = _constraints(identity_map(comp_x.model.dim),
-                                      comp_x.model.unstable(x))
-        eqs_b, opens_b = _constraints(identity_map(comp_x.model.dim),
-                                      comp_x.model.stable(y))
-        desc = intersect_cells(comp_x.model.dim, eqs_a, opens_a,
-                               eqs_b, opens_b)
+        ident = identity_map(comp_x.model.dim)
+        desc = intersect_cell_groups(
+            comp_x.model.dim, [_constraints(ident, comp_x.model.unstable(x)),
+                               _constraints(ident, comp_x.model.stable(y))])
         if desc.empty and desc.dim == 0:
             return []
         return [{"cascades": 0, "component": comp_x.name,
@@ -799,9 +781,9 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
     out = []
     for chain in chains:
         corr = chain[0]
-        eqs_a, opens_a = _constraints(corr.ev_minus, comp_x.model.unstable(x))
-        eqs_b, opens_b = _constraints(corr.ev_plus, comp_y.model.stable(y))
-        desc = intersect_cells(corr.dim, eqs_a, opens_a, eqs_b, opens_b)
+        desc = intersect_cell_groups(
+            corr.dim, [_constraints(corr.ev_minus, comp_x.model.unstable(x)),
+                       _constraints(corr.ev_plus, comp_y.model.stable(y))])
         if desc.empty and desc.dim == 0:
             continue
         out.append({"cascades": 1,
@@ -964,18 +946,18 @@ def handle_complex_from_link(fl: FramedLink) -> CascadeComplex:
             face_counter += 1
             chain: set[str] = set()
             for ci in face["corners"]:
-                _toggle(chain, "P^%d" % (ci + 1))
+                chain ^= {"P^%d" % (ci + 1)}
                 cu, co = diagram.crossing_components(ci)
                 if PICKUP_UNDER:
-                    _toggle(chain, "z1'^%d" % (cu + 1))
+                    chain ^= {"z1'^%d" % (cu + 1)}
                 if PICKUP_OVER:
-                    _toggle(chain, "z1'^%d" % (co + 1))
+                    chain ^= {"z1'^%d" % (co + 1)}
             for arc in face["arcs"]:
                 j = cmap[arc]
                 if arc == marked_arc[j]:
-                    _toggle(chain, "z1^%d" % (j + 1))
+                    chain ^= {"z1^%d" % (j + 1)}
                     if closure_parity[j]:
-                        _toggle(chain, "z1'^%d" % (j + 1))
+                        chain ^= {"z1'^%d" % (j + 1)}
             add("F^%d" % face_counter, 2, "handle", chain)
 
     for t in range(len(pieces) - 1):
@@ -987,10 +969,3 @@ def handle_complex_from_link(fl: FramedLink) -> CascadeComplex:
     add("p''", 3, "handle", tuple("z2^%d" % (j + 1) for j in range(k)))
 
     return CascadeComplex(tuple(gens), diff, degrees, comp_of)
-
-
-def _toggle(chain: set[str], name: str) -> None:
-    if name in chain:
-        chain.remove(name)
-    else:
-        chain.add(name)

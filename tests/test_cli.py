@@ -209,6 +209,12 @@ def _python(*args):
     ("glued-index", "--parts", "[1]"),
     ("glued-index", "--parts", "[]", "--gluings", "[1]"),
     ("glued-index",),
+    ("emit-figure", "--grid-n", "0"),
+    ("emit-figure", "--grid-n", "-3"),
+    ("emit-figure", "--lambda-max", "inf"),
+    ("geometry-check", "--grid-n", "0"),
+    ("geometry-check", "--samples", "0"),
+    ("geometry-check", "--lambda-max", "nan"),
 ])
 def test_malformed_json_arguments_exit_2(argv):
     proc = _python("-m", "fukaya_flow.cli", *argv)

@@ -1,6 +1,8 @@
 """Numeric verification of the quadric geometry closed forms."""
 
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -224,6 +226,25 @@ def test_symplectic_pullback_all_seeds():
 def test_geometry_report_passes():
     report = g.geometry_report(seed=0, samples=100, ef_samples=25)
     assert all(entry["ok"] for entry in report.values())
+
+
+def test_nan_error_fails_the_check(monkeypatch):
+    nan = float("nan")
+    assert math.isnan(g.p_image_errors(RNG(0), grid_thetas=2, lam_max=nan,
+                                       lam_steps=3, ef_samples=2))
+    report = g.geometry_report(seed=0, samples=5, grid_thetas=2,
+                               lam_max=nan, ef_samples=2)
+    assert math.isnan(report["p_image_grid"]["error"])
+    assert not report["p_image_grid"]["ok"]
+    # a NaN error in the middle of the samples is kept to the end: the
+    # third mu_inv call is the second sample's quadric roundtrip
+    calls = itertools.count()
+    real = g.mu_inv
+    nan_point = types.SimpleNamespace(array=lambda: np.full(4, nan))
+    monkeypatch.setattr(g, "mu_inv", lambda p: nan_point
+                        if next(calls) == 2 else real(p))
+    worst_z, worst_p = g.roundtrip_errors(RNG(0), 4)
+    assert math.isnan(worst_z) and worst_p < g.ROUNDTRIP_TOL
 
 
 def test_zero_section_curve_is_segment():

@@ -11,9 +11,10 @@ from fukaya_flow.homology import complement_homology
 from fukaya_flow.links import FramedLink, fixture, linking_matrix, parse_pd
 from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
                                CircleModel, Correspondence,
-                               CriticalComponent, TorusModel,
-                               cascade_moduli, differential_case_I,
-                               handle_complex_from_link, identity_map,
+                               CriticalComponent, IntersectionDescription,
+                               RationalReducer, TorusModel, cascade_moduli,
+                               differential_case_I, handle_complex_from_link,
+                               identity_map, intersect_cell_groups,
                                projection_map, standard_lower_pair,
                                standard_upper_pair, two_point_profile)
 
@@ -193,6 +194,141 @@ def test_point_component_over_circle():
                           AffineMap(((),), (F(3, 4),)))
     with pytest.raises(errors.NonTransverse):
         differential_case_I(point, circle, corr)
+
+
+# --- exact intersections ----------------------------------------------------
+
+
+def _overlap(last_rhs):
+    # the last two equations' rows sum to zero, so they can both hold
+    # only if their right-hand sides sum to an integer
+    return [([((0, -3), 2), ((0, 2), 4)], []),
+            ([((-2, 1), 0), ((-1, -3), 13)], []),
+            ([((1, 3), last_rhs)], [])]
+
+
+def test_inconsistent_rank_deficient_overlap_is_empty():
+    # 13 + 1/4 is not an integer; a Q-basis of the dependencies scaled
+    # to primitive vectors can miss the combination that shows it
+    assert intersect_cell_groups(2, _overlap(F(1, 4))) == \
+        IntersectionDescription(dim=0, empty=True)
+
+
+def test_consistent_rank_deficient_overlap_raises():
+    # w = (0, 0) solves every equation
+    with pytest.raises(errors.NonTransverse, match="rank-deficient"):
+        intersect_cell_groups(2, _overlap(F(0)))
+
+
+def test_rational_reducer_combinations():
+    rng = random.Random(11)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        rows, known_dependent = [], set()
+        for n in range(rng.randint(1, 6)):
+            if rows and rng.random() < 0.3:
+                # a known integer combination of the rows so far
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                rows.append(tuple(sum(k * r[c] for k, r in zip(coeffs, rows))
+                                  for c in range(m)))
+                known_dependent.add(n)
+            else:
+                rows.append(tuple(rng.randint(-3, 3) for _ in range(m)))
+        red = RationalReducer()
+        independent = 0
+        for n, row in enumerate(rows):
+            residual, combo = red.add(row)
+            assert set(combo) <= set(range(n))
+            assert residual == [row[c] - sum(x * rows[i][c]
+                                             for i, x in combo.items())
+                                for c in range(m)]
+            if n in known_dependent:
+                assert not any(residual)
+            independent += any(residual)
+        assert red.rank == independent
+        # the pivot combinations reproduce the reduced pivot rows: a 1
+        # at each pivot and a 0 at every other pivot
+        pivots = [[sum(x * rows[i][c] for i, x in combo.items())
+                   for c in range(m)] for combo in red.pivot_combos()]
+        lead = [next(c for c, a in enumerate(p) if a) for p in pivots]
+        assert lead == sorted(lead)
+        for p in pivots:
+            assert [p[c] for c in lead] == [int(p is q) for q in pivots]
+
+
+def _random_flat_system(rng, m):
+    dens = (1, 2, 3, 4, 8)
+
+    def frac():
+        d = rng.choice(dens)
+        return F(rng.randrange(d), d)
+
+    def row():
+        return tuple(rng.randint(-2, 2) for _ in range(m))
+
+    groups = []
+    for _ in range(rng.randint(1, 3)):
+        eqs = [(row(), frac()) for _ in range(rng.randint(0, m))]
+        opens = []
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                d = rng.choice(dens)
+                opens.append((row(), frac(), "arc", frac(),
+                              F(rng.randint(1, d), d)))
+            else:
+                opens.append((row(), frac(), "copt", frac()))
+        groups.append((eqs, opens))
+    return groups
+
+
+def test_intersection_points_satisfy_every_condition():
+    rng = random.Random(23)
+    found = 0
+    for _ in range(2000):
+        m = rng.choice((0, 1, 2))
+        groups = _random_flat_system(rng, m)
+        try:
+            desc = intersect_cell_groups(m, groups)
+        except errors.NonTransverse:
+            continue
+        if desc.dim:
+            continue
+        for w in desc.points:
+            found += 1
+            assert all(0 <= x < 1 for x in w)
+            for eqs, opens in groups:
+                for row, rhs in eqs:
+                    assert (sum(a * x for a, x in zip(row, w)) - rhs
+                            ).denominator == 1
+                for row, off, kind, *cell in opens:
+                    val = morse._mod1(sum(a * x for a, x in zip(row, w))
+                                      + off)
+                    if kind == "arc":
+                        start, length = cell
+                        assert 0 < morse._mod1(val - start) < length
+                    else:
+                        assert val != cell[0]
+    assert found > 500
+
+
+def test_intersection_finds_planted_points():
+    # right-hand sides read off a chosen point w: the search must return
+    # w among the points, also where the rows span a proper sublattice
+    rng = random.Random(29)
+    sublattice = 0
+    for _ in range(500):
+        m = rng.choice((1, 2))
+        w = tuple(F(rng.randrange(d), d)
+                  for d in (rng.choice((1, 2, 3, 4, 8)) for _ in range(m)))
+        rows = [tuple(rng.randint(-2, 2) for _ in range(m))
+                for _ in range(rng.randint(m, m + 2))]
+        eqs = [(row, morse._mod1(sum(a * x for a, x in zip(row, w))))
+               for row in rows]
+        desc = intersect_cell_groups(m, [(eqs, [])])
+        if desc.dim == 0:
+            assert w in desc.points
+            sublattice += len(desc.points) > 1
+    assert sublattice > 50
 
 
 # --- handle decomposition -------------------------------------------------

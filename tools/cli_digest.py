@@ -2,9 +2,12 @@
 
 Runs `fukaya_flow.cli.main` in process on every catalog fixture under
 every framing in {-1, 0, 1, 2}^k, for each of 13 command/format pairs,
-plus `morse-bott case-I` on both pairs in both formats, and prints the
-sha256 over each call's argv and stdout.  Two checkouts whose digests
-agree print byte-identical stdout on all of these calls.
+plus `morse-bott case-I` on both pairs in both formats and
+`cascade-diagnostics` on both pairs for every (source, target) pair of
+that pair's generators with 0, 1 and 2 cascades in both formats: 2880
+calls.  It prints the sha256 over each call's argv and stdout.  Two
+checkouts whose digests agree print byte-identical stdout on all of
+these calls.
 
     python3 tools/cli_digest.py
 
@@ -23,7 +26,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from fukaya_flow import cli, links  # noqa: E402
+from fukaya_flow import cli, links, morse  # noqa: E402
 
 FRAMINGS = (-1, 0, 1, 2)
 
@@ -50,6 +53,16 @@ def calls():
     for pair in ("upper", "lower"):
         for fmt in ("text", "json"):
             yield ["morse-bott", "case-I", "--pair", pair, "--format", fmt]
+    for pair, make in (("upper", morse.standard_upper_pair),
+                       ("lower", morse.standard_lower_pair)):
+        upper, lower, _ = make()
+        names = upper.generator_names() + lower.generator_names()
+        for source, target in itertools.product(names, repeat=2):
+            for cascades in ("0", "1", "2"):
+                for fmt in ("text", "json"):
+                    yield ["cascade-diagnostics", "--pair", pair,
+                           "--source", source, "--target", target,
+                           "--cascades", cascades, "--format", fmt]
 
 
 def main() -> int:
