@@ -31,6 +31,19 @@ lam >= 1 respectively.
 This module is strictly segregated from the exact category pipeline:
 no numeric value flows into any presentation.
 
+Batches.  mu_batch, mu_inv_batch, sigma_batch and quadratic_batch are
+the formulas above as array kernels over a trailing axis of length 4
+(2 for e and f): N points have shape (N, 4), one point shape (4,).  mu,
+mu_inv, sigma and quadratic are thin wrappers over them that take and
+return single checked points, so each map has one formula.  Every
+construction check runs on every point of a batch, on the inputs and
+the outputs of each map, and a DomainViolation names the index of the
+first offending point and its deviation.  The randomized checks draw
+their points, then make one pass of each map over them; the default
+geometry_report (100,800 grid points, 200 round-trip samples, 100
+curves) takes about 0.07 s on a 2-core x86_64, against 2.5 s for the
+same checks made one point at a time.
+
 Tolerances: 1e-12 for construction invariants, 1e-10 for round trips,
 1e-6 for finite-difference checks with step 1e-5.  Derivatives use the
 four-point central difference: its O(h^4) truncation error stays far
@@ -53,6 +66,39 @@ ROUNDTRIP_TOL = 1e-10
 FD_TOL = 1e-6
 FD_STEP = 1e-5
 BRANCH_TOL = 1e-8
+# The P-image grid is checked in batches of whole theta rows holding at
+# most this many points (or one row, if longer): a 16 x 5 x 20 grid is
+# one batch, while the default 48 x 21 x 100 grid in one batch would
+# raise peak memory by 38 MB.
+BATCH_POINTS = 4096
+
+
+def _require(deviation, what: str) -> None:
+    """Raise DomainViolation at the first point whose deviation exceeds
+    CONSTRUCTION_TOL, naming its index in the batch and the deviation.
+    A NaN deviation passes, so a NaN input reaches the error checks,
+    which report it as FAIL."""
+    bad = deviation > CONSTRUCTION_TOL
+    if not bad.any():
+        return
+    if np.ndim(deviation) == 0:
+        raise DomainViolation("%s by %.1e" % (what, deviation))
+    i = int(np.argmax(bad))
+    raise DomainViolation("point %d: %s by %.1e" % (i, what, deviation[i]))
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(a * a, axis=-1))
+
+
+def _check_cotangent(u: np.ndarray, v: np.ndarray) -> None:
+    _require(np.abs(_norm(u) - 1.0), "|u| differs from 1")
+    _require(np.abs(np.sum(u * v, axis=-1)), "u.v differs from 0")
+
+
+def _check_quadric(z: np.ndarray) -> None:
+    _require(np.abs(np.sum(z * z, axis=-1) - 1.0),
+             "sum z_j^2 differs from 1")
 
 
 @dataclass(frozen=True)
@@ -63,12 +109,7 @@ class CotangentPoint:
     v: tuple[float, float, float, float]
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if abs(np.linalg.norm(u) - 1.0) > CONSTRUCTION_TOL:
-            raise DomainViolation("|u| differs from 1 beyond tolerance")
-        if abs(float(u @ v)) > CONSTRUCTION_TOL:
-            raise DomainViolation("u.v differs from 0 beyond tolerance")
+        _check_cotangent(*self.arrays())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.asarray(self.u, dtype=float),
@@ -82,50 +123,77 @@ class QuadricPoint:
     z: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if abs(np.sum(z * z) - 1.0) > CONSTRUCTION_TOL:
-            raise DomainViolation("sum z_j^2 differs from 1 beyond tolerance")
+        _check_quadric(self.array())
 
     def array(self) -> np.ndarray:
         return np.asarray(self.z, dtype=complex)
 
 
-def _f(s: float) -> float:
-    return math.sqrt((1.0 + math.sqrt(1.0 + 4.0 * s * s)) / 2.0)
+def _f(s):
+    return np.sqrt((1.0 + np.sqrt(1.0 + 4.0 * s * s)) / 2.0)
+
+
+def mu_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu on quadric points z of shape (4,) or (N, 4); returns (u, v)."""
+    _check_quadric(z)
+    x = z.real
+    y = z.imag
+    norm_x = _norm(x)[..., None]
+    u, v = x / norm_x, -norm_x * y
+    _check_cotangent(u, v)
+    return u, v
+
+
+def mu_inv_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mu_inv on cotangent points (u, v) of shape (4,) or (N, 4)."""
+    _check_cotangent(u, v)
+    fv = _f(_norm(v))[..., None]
+    z = fv * u - 1j * (v / fv)
+    _check_quadric(z)
+    return z
+
+
+def sigma_batch(e: np.ndarray, f: np.ndarray, theta, lam
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Slice points for unit vectors e, f of shape (2,) or (N, 2) and
+    angles theta and heights lam of shape () or (N,); returns (u, v)."""
+    for w, name in ((e, "e"), (f, "f")):
+        if w.shape[-1:] != (2,):
+            raise DomainViolation("%s must be a unit 2-vector" % name)
+        _require(np.abs(_norm(w) - 1.0), "|%s| differs from 1" % name)
+    c = np.cos(theta)[..., None]
+    s = np.sin(theta)[..., None]
+    lam = np.asarray(lam)[..., None]
+    u = np.concatenate((c * e, s * f), axis=-1)
+    v = np.concatenate((-lam * s * e, lam * c * f), axis=-1)
+    _check_cotangent(u, v)
+    return u, v
+
+
+def quadratic_batch(z: np.ndarray) -> np.ndarray:
+    """P(z) = z1^2 + z2^2 - z3^2 - z4^2 over the last axis of z."""
+    return z[..., 0] ** 2 + z[..., 1] ** 2 - z[..., 2] ** 2 - z[..., 3] ** 2
 
 
 def mu(point: QuadricPoint) -> CotangentPoint:
-    z = point.array()
-    x = z.real
-    y = z.imag
-    norm_x = float(np.linalg.norm(x))
-    return CotangentPoint(tuple(x / norm_x), tuple(-norm_x * y))
+    u, v = mu_batch(point.array())
+    return CotangentPoint(tuple(u), tuple(v))
 
 
 def mu_inv(point: CotangentPoint) -> QuadricPoint:
-    u, v = point.arrays()
-    fv = _f(float(np.linalg.norm(v)))
-    z = fv * u - 1j * (v / fv)
-    return QuadricPoint(tuple(z))
+    return QuadricPoint(tuple(mu_inv_batch(*point.arrays())))
 
 
 def sigma(e, f, theta: float, lam: float) -> CotangentPoint:
     """Great-circle slice point; e and f are unit vectors in R^2."""
-    e = np.asarray(e, dtype=float)
-    f = np.asarray(f, dtype=float)
-    for w, name in ((e, "e"), (f, "f")):
-        if w.shape != (2,) or abs(np.linalg.norm(w) - 1.0) > CONSTRUCTION_TOL:
-            raise DomainViolation("%s must be a unit 2-vector" % name)
-    c, s = math.cos(theta), math.sin(theta)
-    u = (c * e[0], c * e[1], s * f[0], s * f[1])
-    v = (-lam * s * e[0], -lam * s * e[1], lam * c * f[0], lam * c * f[1])
-    return CotangentPoint(u, v)
+    u, v = sigma_batch(np.asarray(e, dtype=float), np.asarray(f, dtype=float),
+                       theta, lam)
+    return CotangentPoint(tuple(u), tuple(v))
 
 
 def quadratic(z) -> complex:
     """P(z) = z1^2 + z2^2 - z3^2 - z4^2."""
-    z = np.asarray(z, dtype=complex)
-    return complex(z[0] ** 2 + z[1] ** 2 - z[2] ** 2 - z[3] ** 2)
+    return complex(quadratic_batch(np.asarray(z, dtype=complex)))
 
 
 def p_image(theta: float, lam: float) -> complex:
@@ -196,23 +264,28 @@ def rho(e, f, zeta: complex) -> QuadricPoint:
 # randomized checks
 # --------------------------------------------------------------------------
 
-def random_cotangent_point(rng: np.random.Generator,
-                           scale: float = 1.0) -> CotangentPoint:
+def _cotangent_draw(rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """A random cotangent point, v drawn at scale 2."""
     u = rng.standard_normal(4)
     u /= np.linalg.norm(u)
-    v = rng.standard_normal(4) * scale
+    v = rng.standard_normal(4) * 2.0
     v -= (v @ u) * u
-    return CotangentPoint(tuple(u), tuple(v))
+    return u, v
 
 
-def random_quadric_point(rng: np.random.Generator,
-                         scale: float = 1.0) -> QuadricPoint:
+def _quadric_draw(rng: np.random.Generator, scale: float) -> np.ndarray:
     while True:
         p = (rng.standard_normal(4) * scale
              + 1j * rng.standard_normal(4) * scale)
         s = np.sum(p * p)
         if abs(s) > 1e-3:
-            return QuadricPoint(tuple(p / np.sqrt(s)))
+            return p / np.sqrt(s)
+
+
+def random_quadric_point(rng: np.random.Generator,
+                         scale: float = 1.0) -> QuadricPoint:
+    return QuadricPoint(tuple(_quadric_draw(rng, scale)))
 
 
 def random_unit2(rng: np.random.Generator) -> np.ndarray:
@@ -220,27 +293,37 @@ def random_unit2(rng: np.random.Generator) -> np.ndarray:
     return np.array([math.cos(ang), math.sin(ang)])
 
 
-def _worse(worst: float, err: float) -> float:
-    """max(worst, err), except that NaN wins: the builtin max drops a NaN
-    err (nan > worst is False), so a NaN error would read as no error."""
-    return err if err > worst or err != err else worst
+def _unit_pairs(rng: np.random.Generator, count: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """count unit pairs (e, f) as two (count, 2) arrays, from the same
+    draws as count successive pairs (random_unit2, random_unit2)."""
+    ang = rng.uniform(0.0, 2.0 * math.pi, size=(count, 2))
+    unit = np.stack((np.cos(ang), np.sin(ang)), axis=-1)
+    return unit[:, 0], unit[:, 1]
+
+
+def _worst(errors: np.ndarray) -> float:
+    """The largest error, 0.0 for none.  np.max keeps a NaN where the
+    builtin max drops it (nan > worst is False), so a NaN error is
+    reported, never read as no error."""
+    return float(np.max(errors, initial=0.0))
 
 
 def roundtrip_errors(rng: np.random.Generator, samples: int
                      ) -> tuple[float, float]:
-    """Max componentwise errors of mu_inv(mu(z)) and mu(mu_inv(p))."""
-    worst_z = 0.0
-    worst_p = 0.0
-    for _ in range(samples):
-        z = random_quadric_point(rng)
-        back = mu_inv(mu(z)).array()
-        worst_z = _worse(worst_z, float(np.max(np.abs(back - z.array()))))
-        p = random_cotangent_point(rng, scale=2.0)
-        q = mu(mu_inv(p))
-        u0, v0 = p.arrays()
-        u1, v1 = q.arrays()
-        worst_p = _worse(_worse(worst_p, float(np.max(np.abs(u1 - u0)))),
-                         float(np.max(np.abs(v1 - v0))))
+    """Max componentwise errors of mu_inv(mu(z)) and mu(mu_inv(p)).
+
+    Each sample draws its quadric point, then its cotangent point; the
+    rejection loop of the quadric draw keeps the draws per sample."""
+    z = np.empty((samples, 4), dtype=complex)
+    u = np.empty((samples, 4))
+    v = np.empty((samples, 4))
+    for i in range(samples):
+        z[i] = _quadric_draw(rng, 1.0)
+        u[i], v[i] = _cotangent_draw(rng)
+    worst_z = _worst(np.abs(mu_inv_batch(*mu_batch(z)) - z))
+    u1, v1 = mu_batch(mu_inv_batch(u, v))
+    worst_p = _worst(np.maximum(np.abs(u1 - u), np.abs(v1 - v)))
     return worst_z, worst_p
 
 
@@ -248,45 +331,49 @@ def p_image_errors(rng: np.random.Generator, grid_thetas: int = 48,
                    lam_max: float = 2.0, lam_steps: int = 21,
                    ef_samples: int = 100) -> float:
     """Max |P(mu_inv(sigma(e,f,theta,lam))) - p_image(theta,lam)| over a
-    grid crossed with random unit pairs (e, f)."""
+    grid crossed with random unit pairs (e, f).
+
+    Whole theta rows of lam_steps * ef_samples points go into one batch,
+    as many as fit in BATCH_POINTS."""
+    e, f = _unit_pairs(rng, ef_samples)
+    thetas = [2.0 * math.pi * it / grid_thetas for it in range(grid_thetas)]
+    lams = [-lam_max + 2.0 * lam_max * il / (lam_steps - 1)
+            for il in range(lam_steps)]
+    row = lam_steps * ef_samples
+    rows = max(1, BATCH_POINTS // max(1, row))
+    lam = np.tile(np.repeat(lams, ef_samples), rows)
+    e = np.tile(e, (lam_steps * rows, 1))
+    f = np.tile(f, (lam_steps * rows, 1))
     worst = 0.0
-    pairs = [(random_unit2(rng), random_unit2(rng))
-             for _ in range(ef_samples)]
-    for it in range(grid_thetas):
-        theta = 2.0 * math.pi * it / grid_thetas
-        for il in range(lam_steps):
-            lam = -lam_max + 2.0 * lam_max * il / (lam_steps - 1)
-            expected = p_image(theta, lam)
-            for e, f in pairs:
-                z = mu_inv(sigma(e, f, theta, lam)).array()
-                worst = _worse(worst, abs(quadratic(z) - expected))
-    return worst
+    for start in range(0, grid_thetas, rows):
+        batch = thetas[start:start + rows]
+        n = len(batch) * row
+        expected = np.repeat([p_image(t, h) for t in batch for h in lams],
+                             ef_samples)
+        z = mu_inv_batch(*sigma_batch(e[:n], f[:n], np.repeat(batch, row),
+                                      lam[:n]))
+        worst = np.maximum(worst, _worst(np.abs(quadratic_batch(z)
+                                                - expected)))
+    return float(worst)
 
 
 def sigma_invariance_spread(rng: np.random.Generator, theta: float,
                             lam: float, samples: int = 100) -> float:
     """Spread of P(mu_inv(sigma(e, f, theta, lam))) over random (e, f)."""
-    values = []
-    for _ in range(samples):
-        e, f = random_unit2(rng), random_unit2(rng)
-        values.append(quadratic(mu_inv(sigma(e, f, theta, lam)).array()))
-    values = np.asarray(values)
+    e, f = _unit_pairs(rng, samples)
+    values = quadratic_batch(mu_inv_batch(*sigma_batch(e, f, theta, lam)))
     return float(np.max(np.abs(values - values[0])))
 
 
-def _tangent_curve(rng: np.random.Generator):
-    """A curve t -> z(t) on the quadric and its direction, via
-    normalizing a random affine line."""
+def _tangent_line(rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """A random affine line p0 + t dp that normalizes to a curve on the
+    quadric near t = 0."""
     p0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     dp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     if abs(np.sum(p0 * p0)) < 1e-2:
-        return _tangent_curve(rng)
-
-    def curve(t: float) -> np.ndarray:
-        p = p0 + t * dp
-        return p / np.sqrt(np.sum(p * p))
-
-    return curve
+        return _tangent_line(rng)
+    return p0, dp
 
 
 def _derivative(f, step: float) -> np.ndarray:
@@ -300,23 +387,24 @@ def symplectic_pullback_error(rng: np.random.Generator,
                               samples: int = 100,
                               step: float = FD_STEP) -> float:
     """Finite-difference check that mu pulls sum(-v_j du_j) back to
-    sum(y_j dx_j); returns the worst relative error."""
-    worst = 0.0
-    for _ in range(samples):
-        curve = _tangent_curve(rng)
-        z0 = curve(0.0)
-        u0, v0 = mu(QuadricPoint(tuple(z0))).arrays()
+    sum(y_j dx_j); returns the worst relative error.  The curves are
+    drawn one sample at a time, then each stencil point is one batch."""
+    lines = [_tangent_line(rng) for _ in range(samples)]
+    p0 = np.array([p for p, _ in lines], dtype=complex).reshape(-1, 4)
+    dp = np.array([d for _, d in lines], dtype=complex).reshape(-1, 4)
 
-        du = _derivative(
-            lambda t: mu(QuadricPoint(tuple(curve(t)))).arrays()[0], step)
-        lhs = float(-(v0 @ du))
+    def curve(t: float) -> np.ndarray:
+        p = p0 + t * dp
+        return p / np.sqrt(np.sum(p * p, axis=-1))[..., None]
 
-        dx = _derivative(lambda t: curve(t).real, step)
-        rhs = float(z0.imag @ dx)
-
-        scale = max(1.0, abs(lhs), abs(rhs))
-        worst = _worse(worst, abs(lhs - rhs) / scale)
-    return worst
+    z0 = curve(0.0)
+    _, v0 = mu_batch(z0)
+    du = _derivative(lambda t: mu_batch(curve(t))[0], step)
+    lhs = -np.sum(v0 * du, axis=-1)
+    dx = _derivative(lambda t: curve(t).real, step)
+    rhs = np.sum(z0.imag * dx, axis=-1)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return _worst(np.abs(lhs - rhs) / scale)
 
 
 def geometry_report(seed: int = 0, samples: int = 200,

@@ -380,8 +380,11 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
     below the sum of the cells' ranks) exactly when a dependent row's
     combination uses another cell's rows.  Such an overlap raises
     NonTransverse if some translate satisfies every equation, and is
-    empty otherwise.  A finite candidate set also raises NonTransverse
-    when a candidate point meets a cell boundary."""
+    empty otherwise.  Dependent rows within single cells are checked the
+    same way at every rank: below rank m the intersection has dimension
+    m - r when some translate satisfies them and is empty otherwise.  A
+    finite candidate set also raises NonTransverse when a candidate point
+    meets a cell boundary."""
     red = RationalReducer()
     rhs, owner, independent, dependent = [], [], [], []
     overlap = False
@@ -397,7 +400,7 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
             owner.append(g)
     opens = [op for _, group_opens in groups for op in group_opens]
     r = red.rank
-    if r < m and not overlap:
+    if r < m and not dependent:
         return IntersectionDescription(dim=m - r)
 
     solution = red.pivot_combos()
@@ -410,9 +413,11 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
             if overlap:
                 raise NonTransverse(
                     "rank-deficient cell overlap; perturb marked points")
+            if r < m:
+                return IntersectionDescription(dim=m - r)
             candidates.add(tuple(_mod1(_at(combo, target))
                                  for combo in solution))
-    if overlap:
+    if overlap or r < m:
         return IntersectionDescription(dim=m - r, empty=True)
 
     survivors = []

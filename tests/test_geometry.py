@@ -1,8 +1,8 @@
 """Numeric verification of the quadric geometry closed forms."""
 
+import cmath
 import itertools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -51,6 +51,97 @@ def test_roundtrips_ten_thousand_samples():
     assert p_err < g.ROUNDTRIP_TOL
 
 
+# --- an independent per-point reference: math and cmath only -----------
+
+
+def _ref_f(s):
+    return math.sqrt((1.0 + math.sqrt(1.0 + 4.0 * s * s)) / 2.0)
+
+
+def _ref_mu(z):
+    x = [w.real for w in z]
+    n = math.sqrt(sum(a * a for a in x))
+    return [a / n for a in x], [-n * w.imag for w in z]
+
+
+def _ref_mu_inv(u, v):
+    fv = _ref_f(math.sqrt(sum(b * b for b in v)))
+    return [complex(fv * a, -b / fv) for a, b in zip(u, v)]
+
+
+def _ref_roundtrip_errors(rng, samples):
+    worst_z = worst_p = 0.0
+    for _ in range(samples):
+        while True:
+            re, im = rng.standard_normal(4), rng.standard_normal(4)
+            p = [complex(a, b) for a, b in zip(re, im)]
+            s = sum(w * w for w in p)
+            if abs(s) > 1e-3:
+                break
+        z = [w / cmath.sqrt(s) for w in p]
+        back = _ref_mu_inv(*_ref_mu(z))
+        worst_z = max([worst_z] + [abs(a - b) for a, b in zip(back, z)])
+        u = [float(a) for a in rng.standard_normal(4)]
+        n = math.sqrt(sum(a * a for a in u))
+        u = [a / n for a in u]
+        v = [2.0 * float(b) for b in rng.standard_normal(4)]
+        d = sum(a * b for a, b in zip(u, v))
+        v = [b - d * a for a, b in zip(u, v)]
+        u1, v1 = _ref_mu(_ref_mu_inv(u, v))
+        worst_p = max([worst_p]
+                      + [abs(a - b) for a, b in zip(u1 + v1, u + v)])
+    return worst_z, worst_p
+
+
+def _ref_p_image_errors(rng, grid_thetas, lam_max, lam_steps, ef_samples):
+    pairs = []
+    for _ in range(ef_samples):
+        a, b = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
+        pairs.append(((math.cos(a), math.sin(a)), (math.cos(b), math.sin(b))))
+    worst = 0.0
+    for it in range(grid_thetas):
+        theta = 2 * math.pi * it / grid_thetas
+        c, s = math.cos(theta), math.sin(theta)
+        for il in range(lam_steps):
+            lam = -lam_max + 2 * lam_max * il / (lam_steps - 1)
+            expected = complex(
+                math.sqrt(1 + 4 * lam * lam) * math.cos(2 * theta),
+                2 * lam * math.sin(2 * theta))
+            for e, f in pairs:
+                u = [c * e[0], c * e[1], s * f[0], s * f[1]]
+                v = [-lam * s * e[0], -lam * s * e[1], lam * c * f[0],
+                     lam * c * f[1]]
+                z = _ref_mu_inv(u, v)
+                p = z[0] ** 2 + z[1] ** 2 - z[2] ** 2 - z[3] ** 2
+                worst = max(worst, abs(p - expected))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_checks_match_per_point_reference(seed):
+    grid = dict(grid_thetas=16, lam_max=2.0, lam_steps=5, ef_samples=20)
+    rng, ref = RNG(seed), RNG(seed)
+    got = g.roundtrip_errors(rng, 40)
+    want = _ref_roundtrip_errors(ref, 40)
+    assert all(abs(a - b) <= 1e-14 for a, b in zip(got, want))
+    # the batched draws leave the generator where per-point draws do
+    assert rng.random() == ref.random()
+    got = g.p_image_errors(rng, **grid)
+    want = _ref_p_image_errors(ref, **grid)
+    assert abs(got - want) <= 1e-14
+    assert rng.random() == ref.random()
+
+
+def test_unit_pairs_follow_per_pair_draws():
+    # pairs (e, f) come from the draws in the order e, f, e, f, ...
+    rng, ref = RNG(3), RNG(3)
+    e, f = g._unit_pairs(rng, 50)
+    want = [(g.random_unit2(ref), g.random_unit2(ref)) for _ in range(50)]
+    assert np.max(np.abs(e - [p[0] for p in want])) < 1e-15
+    assert np.max(np.abs(f - [p[1] for p in want])) < 1e-15
+    assert rng.random() == ref.random()
+
+
 def test_sigma_zero_section_points():
     e = np.array([1.0, 0.0])
     f = np.array([0.0, 1.0])
@@ -64,6 +155,42 @@ def test_sigma_zero_section_points():
 def test_sigma_requires_unit_vectors():
     with pytest.raises(errors.DomainViolation):
         g.sigma((2.0, 0.0), (0.0, 1.0), 0.1, 0.1)
+
+
+def _batch(rng, n):
+    """n points of each kind as arrays, all inside the domains."""
+    z = np.array([g.random_quadric_point(rng).array() for _ in range(n)])
+    return (z, *g.mu_batch(z))
+
+
+def test_batch_domain_violation_names_the_point():
+    z, u, v = _batch(RNG(5), 40)
+    bad_u = u.copy()
+    bad_u[17] *= 1.0 + 3e-12
+    with pytest.raises(errors.DomainViolation,
+                       match=r"^point 17: \|u\| differs from 1 by 3\.0e-12$"):
+        g.mu_inv_batch(bad_u, v)
+    bad_v = v.copy()
+    bad_v[23] += 1e-6 * u[23]
+    with pytest.raises(errors.DomainViolation,
+                       match=r"^point 23: u\.v differs from 0 by 1\.0e-06$"):
+        g.mu_inv_batch(u, bad_v)
+    bad_z = z.copy()
+    bad_z[31] *= 1.0 + 1e-9
+    with pytest.raises(errors.DomainViolation,
+                       match=(r"^point 31: sum z_j\^2 differs from 1 "
+                              r"by 2\.0e-09$")):
+        g.mu_batch(bad_z)
+    e = np.tile([1.0, 0.0], (40, 1))
+    f = np.tile([0.0, 1.0], (40, 1))
+    f[9] = (0.0, 1.5)
+    with pytest.raises(errors.DomainViolation,
+                       match=r"^point 9: \|f\| differs from 1 by 5\.0e-01$"):
+        g.sigma_batch(e, f, np.zeros(40), np.zeros(40))
+    # the first offending point is named, not a later or larger one
+    bad_u[30] *= 2.0
+    with pytest.raises(errors.DomainViolation, match=r"^point 17: "):
+        g.mu_inv_batch(bad_u, v)
 
 
 def test_sigma_invariance_under_ef():
@@ -237,12 +364,18 @@ def test_nan_error_fails_the_check(monkeypatch):
     assert math.isnan(report["p_image_grid"]["error"])
     assert not report["p_image_grid"]["ok"]
     # a NaN error in the middle of the samples is kept to the end: the
-    # third mu_inv call is the second sample's quadric roundtrip
+    # first mu_inv_batch call is the quadric roundtrip, and its row 1
+    # the second sample's
     calls = itertools.count()
-    real = g.mu_inv
-    nan_point = types.SimpleNamespace(array=lambda: np.full(4, nan))
-    monkeypatch.setattr(g, "mu_inv", lambda p: nan_point
-                        if next(calls) == 2 else real(p))
+    real = g.mu_inv_batch
+
+    def nan_in_second_sample(u, v):
+        z = real(u, v)
+        if next(calls) == 0:
+            z[1] = nan
+        return z
+
+    monkeypatch.setattr(g, "mu_inv_batch", nan_in_second_sample)
     worst_z, worst_p = g.roundtrip_errors(RNG(0), 4)
     assert math.isnan(worst_z) and worst_p < g.ROUNDTRIP_TOL
 

@@ -220,6 +220,19 @@ def test_consistent_rank_deficient_overlap_raises():
         intersect_cell_groups(2, _overlap(F(0)))
 
 
+def test_contradictory_equations_in_one_cell_are_empty():
+    # x = 0 and x = 1/2 together, and 0 = 1/2 alone, have no solution
+    assert intersect_cell_groups(2, [([((1, 0), 0), ((1, 0), F(1, 2))],
+                                      [])]) == \
+        IntersectionDescription(dim=1, empty=True)
+    assert intersect_cell_groups(2, [([((0, 0), F(1, 2))], [])]) == \
+        IntersectionDescription(dim=2, empty=True)
+    # one equation stated twice still leaves a line
+    assert intersect_cell_groups(2, [([((1, 0), F(1, 3)),
+                                       ((1, 0), F(1, 3))], [])]) == \
+        IntersectionDescription(dim=1)
+
+
 def test_rational_reducer_combinations():
     rng = random.Random(11)
     for _ in range(200):
@@ -325,6 +338,7 @@ def test_intersection_finds_planted_points():
         eqs = [(row, morse._mod1(sum(a * x for a, x in zip(row, w))))
                for row in rows]
         desc = intersect_cell_groups(m, [(eqs, [])])
+        assert not desc.empty
         if desc.dim == 0:
             assert w in desc.points
             sublattice += len(desc.points) > 1

@@ -4,8 +4,10 @@ Runs `fukaya_flow.cli.main` in process on every catalog fixture under
 every framing in {-1, 0, 1, 2}^k, for each of 13 command/format pairs,
 plus `morse-bott case-I` on both pairs in both formats and
 `cascade-diagnostics` on both pairs for every (source, target) pair of
-that pair's generators with 0, 1 and 2 cascades in both formats: 2880
-calls.  It prints the sha256 over each call's argv and stdout.  Two
+that pair's generators with 0, 1 and 2 cascades in both formats, and
+`emit-figure` in both formats with `--grid-n` 1, 7 and 200, each without
+and with `--lambda-max 0.5`: 2892 calls.  It prints the sha256 over each
+call's argv and stdout.  Two
 checkouts whose digests agree print byte-identical stdout on all of
 these calls.
 
@@ -63,6 +65,11 @@ def calls():
                     yield ["cascade-diagnostics", "--pair", pair,
                            "--source", source, "--target", target,
                            "--cascades", cascades, "--format", fmt]
+    for fmt in ("csv", "svg"):
+        for grid_n in ("1", "7", "200"):
+            for lam in ([], ["--lambda-max", "0.5"]):
+                yield ["emit-figure", "--format", fmt,
+                       "--grid-n", grid_n] + lam
 
 
 def main() -> int:
