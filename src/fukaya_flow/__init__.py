@@ -16,17 +16,16 @@ from .links import FramedLink, LinkDiagram, LinkingMatrix, fixture, \
     linking_matrix, linking_number, parse_pd
 from .morse import CascadeComplex, CriticalComponent, Correspondence, \
     cascade_moduli, differential_case_I, handle_complex_from_link
-from .morse import homology as cascade_homology
 
 __all__ = [
     "CascadeComplex", "ComplementHomology", "Correspondence",
     "CriticalComponent", "DirectedCategoryPresentation", "F2Presentation",
     "FramedLink", "FukayaFlowError", "GradedClass", "LinkDiagram",
     "LinkingMatrix", "build_flow_category", "build_fukaya_category",
-    "cascade_homology", "cascade_moduli", "complement_homology",
-    "differential_case_I", "fixture", "handle_complex_from_link",
-    "linking_matrix", "linking_number", "parse_pd", "relation_table",
-    "rp2_category", "verify_theorem_b",
+    "cascade_moduli", "complement_homology", "differential_case_I",
+    "fixture", "handle_complex_from_link", "linking_matrix",
+    "linking_number", "parse_pd", "relation_table", "rp2_category",
+    "verify_theorem_b",
 ]
 
 __version__ = "0.1.0"

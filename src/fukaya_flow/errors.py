@@ -47,7 +47,7 @@ class DifferentialNotSquareZero(FukayaFlowError):
 
 
 class NonPlanarPD(FukayaFlowError):
-    """Face extraction failed the Euler check V - E + F = 2."""
+    """A connected piece of a PD code fails the Euler check V - E + F = 2."""
 
 
 class UnsupportedModel(FukayaFlowError):
@@ -84,6 +84,10 @@ class BranchCutProximity(FukayaFlowError):
 
 class ZeroArgument(FukayaFlowError):
     """A map was evaluated at a forbidden zero argument."""
+
+
+class GridTooSmall(FukayaFlowError):
+    """A sampling grid has too few points to span its interval."""
 
 
 # --- quivers ---

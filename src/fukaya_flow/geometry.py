@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutProximity, DomainViolation, ZeroArgument
+from .errors import (BranchCutProximity, DomainViolation, GridTooSmall,
+                     ZeroArgument)
 
 CONSTRUCTION_TOL = 1e-12
 ROUNDTRIP_TOL = 1e-10
@@ -334,7 +335,11 @@ def p_image_errors(rng: np.random.Generator, grid_thetas: int = 48,
     grid crossed with random unit pairs (e, f).
 
     Whole theta rows of lam_steps * ef_samples points go into one batch,
-    as many as fit in BATCH_POINTS."""
+    as many as fit in BATCH_POINTS.  Raises GridTooSmall for fewer than
+    two lambda steps, which cannot span [-lam_max, lam_max]."""
+    if lam_steps < 2:
+        raise GridTooSmall("lam_steps must be at least 2, got %r"
+                           % (lam_steps,))
     e, f = _unit_pairs(rng, ef_samples)
     thetas = [2.0 * math.pi * it / grid_thetas for it in range(grid_thetas)]
     lams = [-lam_max + 2.0 * lam_max * il / (lam_steps - 1)

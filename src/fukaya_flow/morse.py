@@ -16,17 +16,22 @@ differential adds, to the internal Morse differential of each
 component, cross terms counting zero-dimensional transverse
 intersections of ev_-^{-1}(U(x)) with ev_+^{-1}(S(y)) mod 2.
 
-handle_complex_from_link builds the Z/2 complex of the handle
-decomposition of a link complement: one torus of classes per component,
-a 1-handle per crossing, a 2-handle per bounded face of the
-singularized diagram, connecting 1-handles between split pieces, and a
-single 3-handle killing the sum of the torus fundamental classes.
+handle_complex_from_link builds the Z/2 cellular complex of a framed
+link complement from the abelianised Wirtinger presentation of its
+diagram: one torus of classes per component, a 1-cell per over-arc, a
+2-cell per over-arc end, a meridian and a longitude 2-cell per
+component, and 3-cells capping the tori.  Its homology is right at
+class level: z1^j is the framed longitude, f_j z1'^j plus the meridians
+z1'^i of the components it links oddly, and the z2^j sum to zero.
+tests/test_morse.py::test_handle_complex_matches_oracle checks these
+classes on the framed catalog and on generated braid closures.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -36,7 +41,7 @@ from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
                      NonPlanarPD, NonTransverse, UnknownGenerator,
                      UnsupportedModel)
 from .homology import F2Presentation, GradedClass
-from .links import FramedLink, LinkDiagram, self_writhe
+from .links import FramedLink, LinkDiagram
 
 Frac = Fraction
 
@@ -559,10 +564,6 @@ class CascadeComplex:
         }
 
 
-def homology(complex_: CascadeComplex) -> F2Presentation:
-    return complex_.homology()
-
-
 def _cross_count(source: CriticalComponent, target: CriticalComponent,
                  corr: Correspondence, x: str, y: str) -> int:
     groups = [_constraints(corr.ev_minus, source.model.unstable(x)),
@@ -802,22 +803,22 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
 # handle decomposition of a link complement
 # --------------------------------------------------------------------------
 
-# Parity conventions for the 2-handle attaching walks, calibrated once
-# against the complement-homology rank oracle over the fixture catalog
-# and frozen here: each corner contributes the meridian class of the
-# crossing's under-strand component; each traversal of a component's
-# marked (smallest) arc closes a longitude and contributes
-# z1 + (framing + writhe) z1'.
-PICKUP_UNDER = 1
-PICKUP_OVER = 0
-CLOSURE_FRAMING = 1
-CLOSURE_WRITHE = 1
+def _check_planar(diagram: LinkDiagram) -> None:
+    """Raise NonPlanarPD unless each connected piece of the diagram, with
+    V crossings and E = 2V arcs, has the E - V + 2 faces of a planar
+    4-valent graph.
 
-
-def _pieces(diagram: LinkDiagram) -> tuple[list[dict], dict]:
-    """Connected pieces of the diagram: crossing sets joined by arcs,
-    plus one piece per crossingless circle."""
-    parent = list(range(len(diagram.crossings)))
+    A dart (ci, p) is an arrival at crossing ci along the arc in
+    position p; a face walk turns counter-clockwise and leaves via the
+    arc at position p + 1.  The error names the smallest crossing
+    (1-based) of a piece that fails.
+    """
+    quads = diagram.crossings
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for ci, quad in enumerate(quads):
+        for p, arc in enumerate(quad):
+            ends.setdefault(arc, []).append((ci, p))
+    parent = list(range(len(quads)))
 
     def find(i):
         while parent[i] != i:
@@ -825,152 +826,111 @@ def _pieces(diagram: LinkDiagram) -> tuple[list[dict], dict]:
             i = parent[i]
         return i
 
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for ci, quad in enumerate(diagram.crossings):
-        for p, arc in enumerate(quad):
-            ends.setdefault(arc, []).append((ci, p))
-    for occ in ends.values():
-        a, b = find(occ[0][0]), find(occ[1][0])
-        if a != b:
-            parent[a] = b
-
-    cmap = diagram.component_map()
-    by_root: dict[int, dict] = {}
-    for ci in range(len(diagram.crossings)):
-        root = find(ci)
-        piece = by_root.setdefault(root, {"crossings": [], "components": set(),
-                                          "circle": None})
-        piece["crossings"].append(ci)
-        a, b, _, _ = diagram.crossings[ci]
-        piece["components"].update((cmap[a], cmap[b]))
-    pieces = list(by_root.values())
-    for arc in diagram.circles:
-        pieces.append({"crossings": [], "components": {cmap[arc]},
-                       "circle": arc})
-    pieces.sort(key=lambda p: min(p["components"]))
-    return pieces, ends
-
-
-def _faces_of_piece(diagram: LinkDiagram, piece: dict,
-                    ends: dict[int, list[tuple[int, int]]]) -> list[dict]:
-    """Face walks of one connected piece via the rotation system.
-
-    A dart (ci, p) is an arrival at crossing ci along the arc in
-    position p; the walk turns counter-clockwise and leaves via the arc
-    at position p + 1.  Returns all faces, each as {"arcs", "corners",
-    "darts", "outer"}; the face containing the arrival dart (smallest
-    crossing, position 0) is marked outer, a deterministic stand-in for
-    the unbounded region (a PD code lives on the sphere, so any face
-    works and the homology ranks do not depend on the choice).  Raises
-    NonPlanarPD when the Euler count fails.
-    """
-    if piece["circle"] is not None:
-        arc = piece["circle"]
-        return [{"arcs": [arc], "corners": [], "darts": [], "outer": False},
-                {"arcs": [arc], "corners": [], "darts": [], "outer": True}]
-
-    crossings = set(piece["crossings"])
-    visited: set[tuple[int, int]] = set()
-    faces = []
-    for start_ci in sorted(crossings):
-        for start_p in range(4):
-            if (start_ci, start_p) in visited:
-                continue
-            walk_arcs, walk_corners, walk_darts = [], [], []
-            ci, p = start_ci, start_p
-            while (ci, p) not in visited:
-                visited.add((ci, p))
-                walk_darts.append((ci, p))
-                walk_corners.append(ci)
-                q = (p + 1) % 4
-                arc = diagram.crossings[ci][q]
-                walk_arcs.append(arc)
-                occ = ends[arc]
-                ci, p = occ[1] if occ[0] == (ci, q) else occ[0]
-            faces.append({"arcs": walk_arcs, "corners": walk_corners,
-                          "darts": walk_darts, "outer": False})
-    v = len(crossings)
-    e = 2 * v
-    if v - e + len(faces) != 2:
-        raise NonPlanarPD(
-            "face extraction found %d faces on %d crossings; the PD code "
-            "is not planar" % (len(faces), v))
-    outer_dart = (min(crossings), 0)
-    for face in faces:
-        if outer_dart in face["darts"]:
-            face["outer"] = True
-            break
-    return faces
+    for (a, _), (b, _) in ends.values():
+        parent[find(a)] = find(b)
+    roots = [find(ci) for ci in range(len(quads))]
+    sizes = Counter(roots)
+    faces: Counter = Counter()
+    seen: set[tuple[int, int]] = set()
+    for dart in itertools.product(range(len(quads)), range(4)):
+        if dart in seen:
+            continue
+        faces[roots[dart[0]]] += 1
+        while dart not in seen:
+            seen.add(dart)
+            ci, q = dart[0], (dart[1] + 1) % 4
+            a, b = ends[quads[ci][q]]
+            dart = b if a == (ci, q) else a
+    for ci, root in enumerate(roots):
+        if faces[root] != sizes[root] + 2:
+            raise NonPlanarPD(
+                "crossing %d: its piece of %d crossings has %d faces, "
+                "expected %d; the PD code is not planar"
+                % (ci + 1, sizes[root], faces[root], sizes[root] + 2))
 
 
 def handle_complex_from_link(fl: FramedLink) -> CascadeComplex:
-    """Z/2 complex of the handle decomposition of the link complement.
+    """Z/2 cellular chain complex of the complement of a framed link,
+    read off the abelianised Wirtinger presentation of its diagram.
 
-    Homology ranks agree with complement_homology: (1, k, k-1, 0).
+    Cells, per component j: the boundary torus z0^j, z1^j (the framed
+    longitude), z1'^j (the meridian), z2^j; the meridian cell M^j with
+    d = z1'^j + (the first over-arc of j); the longitude cell L^j with
+    d = z1^j + (the over-arcs that j passes under) + (f_j + w_j) z1'^j,
+    turning the blackboard longitude into the f_j-framed one; and D^j
+    with d = z2^j + (the junction cells of j).  An over-arc A^n is a
+    maximal run of arcs of one component between under-passages (d = 0);
+    its junction cell J^n, where the run ends, has d = A^n + (the next
+    over-arc of the component).  Q^j joins z0^j to z0^(j+1), and p''
+    has d = sum of the z2^j.
+
+    The homology is right at class level, over every diagram: H0 = Z/2;
+    H1 has basis z1'^1..z1'^k with z1^j = f_j z1'^j + sum over i != j
+    of lk_ij z1'^i; H2 is spanned by the z2^j with the one relation
+    sum z2^j = 0; H3 = 0.  tests/test_morse.py checks these classes on
+    the framed catalog and on generated braid closures.  Raises
+    NonPlanarPD for a PD code that is not planar.
     """
     diagram = fl.diagram
+    _check_planar(diagram)
     k = diagram.component_count
-    cmap = diagram.component_map()
-    pieces, ends = _pieces(diagram)
 
     gens: list[str] = []
     degrees: dict[str, int] = {}
     comp_of: dict[str, str] = {}
     diff: dict[str, tuple[str, ...]] = {}
 
-    def add(name, degree, component, boundary=()):
+    def add(name, degree, component="handle", boundary=()):
         gens.append(name)
         degrees[name] = degree
         comp_of[name] = component
         diff[name] = tuple(sorted(boundary))
 
-    for j in range(k):
-        tag = "torus_%d" % (j + 1)
-        add("z0^%d" % (j + 1), 0, tag)
-        add("z1^%d" % (j + 1), 1, tag)
-        add("z1'^%d" % (j + 1), 1, tag)
-        add("z2^%d" % (j + 1), 2, tag)
+    for j in range(1, k + 1):
+        tag = "torus_%d" % j
+        for name, degree in (("z0", 0), ("z1", 1), ("z1'", 1), ("z2", 2)):
+            add("%s^%d" % (name, j), degree, tag)
+    for j in range(1, k):
+        add("Q^%d" % j, 1, boundary=("z0^%d" % j, "z0^%d" % (j + 1)))
 
-    marked_arc = {j: min(diagram.components[j]) for j in range(k)}
-    closure_parity = {
-        j: (CLOSURE_FRAMING * fl.framings[j]
-            + CLOSURE_WRITHE * self_writhe(diagram, j)) % 2
-        for j in range(k)}
+    # the arc in position 0 of a crossing ends an under-passage, so the
+    # next arc of its component starts a new over-arc; runs[j] numbers
+    # the over-arcs of component j in circuit order
+    under_ends = {quad[0] for quad in diagram.crossings}
+    over_arc: dict[int, int] = {}
+    runs: list[list[int]] = []
+    numbers = itertools.count(1)
+    for comp in diagram.components:
+        cut = next((i for i, a in enumerate(comp) if a in under_ends), -1)
+        run: list[int] = []
+        starts = True
+        for a in comp[cut + 1:] + comp[:cut + 1]:
+            if starts:
+                run.append(next(numbers))
+            over_arc[a] = run[-1]
+            starts = a in under_ends
+        runs.append(run)
+    for run in runs:
+        for n in run:
+            add("A^%d" % n, 1)
+    for run in runs:
+        for n, m in zip(run, run[1:] + run[:1]):
+            add("J^%d" % n, 2, boundary={"A^%d" % n} ^ {"A^%d" % m})
 
-    for ci in range(len(diagram.crossings)):
+    # each sign is +-1, so w_j = (self-crossings of j) mod 2
+    longitude = [{"z1^%d" % j} ^ ({"z1'^%d" % j} if f % 2 else set())
+                 for j, f in enumerate(fl.framings, 1)]
+    for ci, (_, b, _, _) in enumerate(diagram.crossings):
         cu, co = diagram.crossing_components(ci)
-        boundary = () if cu == co else ("z0^%d" % (cu + 1),
-                                        "z0^%d" % (co + 1))
-        add("P^%d" % (ci + 1), 1, "handle", boundary)
-
-    face_counter = 0
-    for piece in pieces:
-        for face in _faces_of_piece(diagram, piece, ends):
-            if face["outer"]:
-                continue
-            face_counter += 1
-            chain: set[str] = set()
-            for ci in face["corners"]:
-                chain ^= {"P^%d" % (ci + 1)}
-                cu, co = diagram.crossing_components(ci)
-                if PICKUP_UNDER:
-                    chain ^= {"z1'^%d" % (cu + 1)}
-                if PICKUP_OVER:
-                    chain ^= {"z1'^%d" % (co + 1)}
-            for arc in face["arcs"]:
-                j = cmap[arc]
-                if arc == marked_arc[j]:
-                    chain ^= {"z1^%d" % (j + 1)}
-                    if closure_parity[j]:
-                        chain ^= {"z1'^%d" % (j + 1)}
-            add("F^%d" % face_counter, 2, "handle", chain)
-
-    for t in range(len(pieces) - 1):
-        rep_a = min(pieces[t]["components"])
-        rep_b = min(pieces[t + 1]["components"])
-        add("Q^%d" % (t + 1), 1, "handle",
-            ("z0^%d" % (rep_a + 1), "z0^%d" % (rep_b + 1)))
-
-    add("p''", 3, "handle", tuple("z2^%d" % (j + 1) for j in range(k)))
+        longitude[cu] ^= {"A^%d" % over_arc[b]}
+        if cu == co:
+            longitude[cu] ^= {"z1'^%d" % (cu + 1)}
+    for j, run in enumerate(runs, 1):
+        add("M^%d" % j, 2, boundary=("z1'^%d" % j, "A^%d" % run[0]))
+        add("L^%d" % j, 2, boundary=longitude[j - 1])
+    for j, run in enumerate(runs, 1):
+        add("D^%d" % j, 3,
+            boundary=["z2^%d" % j] + ["J^%d" % n for n in run])
+    add("p''", 3, boundary=["z2^%d" % j for j in range(1, k + 1)])
 
     return CascadeComplex(tuple(gens), diff, degrees, comp_of)

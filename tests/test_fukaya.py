@@ -6,6 +6,8 @@ from fukaya_flow.flow import build_flow_category
 from fukaya_flow.fukaya import (build_fukaya_category, compare_categories,
                                 generator_dictionary, verify_theorem_b)
 from fukaya_flow.links import fixture, linking_matrix
+from fukaya_flow.morse import handle_complex_from_link
+from test_morse import CATALOG, longitude_classes
 
 
 def test_table_z2_entry():
@@ -66,6 +68,25 @@ def test_theorem_b_framings_grid():
         for framings in itertools.product((-1, 0, 1, 2), repeat=k):
             report = verify_theorem_b(fixture(name, framings))
             assert report.isomorphic, (name, framings, report.mismatches)
+
+
+def test_longitude_products_match_the_handle_complex():
+    # the handle complex reads the framed longitudes off the PD code
+    # without linking_matrix, which both category builders go through
+    for name in CATALOG:
+        k = fixture(name).diagram.component_count
+        for framings in itertools.product((-1, 0, 1, 2), repeat=k):
+            fl = fixture(name, framings)
+            classes = longitude_classes(handle_complex_from_link(fl), k)
+            fukaya_cat = build_fukaya_category(fl)
+            flow_cat = build_flow_category(fl)
+            for j, cls in enumerate(classes, 1):
+                want = {"z1'^%d" % i for i in cls}
+                got = fukaya_cat.compose(j - 1, "x1^%d" % j, "y2^%d" % j)
+                assert set(got) == want, (name, framings, j)
+                got = flow_cat.compose(j - 1, "p+^%d" % j, "K-^%d" % j)
+                assert {n.replace("mu^", "z1'^") for n in got} == want, (
+                    name, framings, j)
 
 
 def test_mutated_category_detected():

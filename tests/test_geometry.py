@@ -355,6 +355,13 @@ def test_geometry_report_passes():
     assert all(entry["ok"] for entry in report.values())
 
 
+def test_lam_steps_below_two_rejected():
+    # one step divides by zero and none reports an empty grid as PASS
+    for steps in (1, 0):
+        with pytest.raises(errors.GridTooSmall, match="got %d" % steps):
+            g.geometry_report(samples=5, grid_thetas=4, lam_steps=steps)
+
+
 def test_nan_error_fails_the_check(monkeypatch):
     nan = float("nan")
     assert math.isnan(g.p_image_errors(RNG(0), grid_thetas=2, lam_max=nan,

@@ -6,9 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fukaya_flow import errors, morse
-from fukaya_flow.homology import complement_homology
-from fukaya_flow.links import FramedLink, fixture, linking_matrix, parse_pd
+from fukaya_flow import errors, f2, morse
+from fukaya_flow.links import FramedLink, fixture, parse_pd
 from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
                                CircleModel, Correspondence,
                                CriticalComponent, IntersectionDescription,
@@ -17,8 +16,10 @@ from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
                                identity_map, intersect_cell_groups,
                                projection_map, standard_lower_pair,
                                standard_upper_pair, two_point_profile)
+from test_links import braid_closure_pd, over_count
 
-FIXTURES = ("unknot", "2-unlink", "3-unlink", "hopf", "trefoil", "3-chain")
+CATALOG = ("unknot", "2-unlink", "3-unlink", "hopf", "trefoil", "3-chain",
+           "unknot-kink", "hopf-kink")
 
 
 def test_case_one_upper_differentials():
@@ -348,62 +349,114 @@ def test_intersection_finds_planted_points():
 # --- handle decomposition -------------------------------------------------
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-def test_handle_complex_matches_oracle(name):
-    fl = fixture(name)
+def _vector(cx, names):
+    index = {g: i for i, g in enumerate(cx.generators)}
+    v = 0
+    for name in names:
+        v ^= 1 << index[name]
+    return v
+
+
+def longitude_classes(cx, k):
+    """The class of each z1^j in H1 of a handle complex, written in the
+    meridians: the set of i with z1'^i in it.  Asserts that z1^j and
+    z1'^i are cycles and that the meridians are independent modulo
+    im d2, so the classes are well defined."""
+    image = [_vector(cx, cx.boundary(g)) for g in cx.generators
+             if cx.degrees[g] == 2]
+    meridians = [_vector(cx, ["z1'^%d" % i]) for i in range(1, k + 1)]
+    span = f2.Reducer(image + meridians)
+    assert span.rank == f2.rank(image) + k
+    classes = []
+    for j in range(1, k + 1):
+        assert cx.boundary("z1^%d" % j) == cx.boundary("z1'^%d" % j) == ()
+        combo = span.express(_vector(cx, ["z1^%d" % j]))
+        assert combo is not None
+        classes.append({i for i in range(1, k + 1)
+                        if combo >> (len(image) + i - 1) & 1})
+    return classes
+
+
+def _framed_longitudes(fl):
+    """z1^j = f_j z1'^j + sum over i != j of lk_ij z1'^i mod 2, with
+    lk_ij counted from the crossings where K_i passes over K_j."""
+    d = fl.diagram
+    k = d.component_count
+    return [{i + 1 for i in range(k)
+             if (fl.framings[j] if i == j else over_count(d, i, j)) % 2}
+            for j in range(k)]
+
+
+def _assert_classes(fl):
+    """Ranks (1, k, k-1, 0), the framed longitudes in H1, and H2 spanned
+    by the z2^j with the one relation sum z2^j = 0."""
     cx = handle_complex_from_link(fl)
-    betti = cx.betti_by_degree() + (0,) * (4 - len(cx.betti_by_degree()))
-    assert betti == complement_homology(linking_matrix(fl)).betti
+    k = fl.diagram.component_count
+    assert cx.betti_by_degree() == (1, k, k - 1, 0)
+    assert longitude_classes(cx, k) == _framed_longitudes(fl)
+    image = [_vector(cx, cx.boundary(g)) for g in cx.generators
+             if cx.degrees[g] == 3]
+    tori = ["z2^%d" % j for j in range(1, k + 1)]
+    assert all(cx.boundary(t) == () for t in tori)
+    assert (f2.rank(image + [_vector(cx, [t]) for t in tori])
+            == f2.rank(image) + k - 1)
+    assert f2.Reducer(image).express(_vector(cx, tori)) is not None
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-def test_handle_complex_framings_grid(name):
+@pytest.mark.parametrize("name", CATALOG)
+def test_handle_complex_matches_oracle(name):
     k = fixture(name).diagram.component_count
-    grid = list(itertools.product((-1, 0, 1, 2), repeat=k))
-    if len(grid) > 16:
-        grid = grid[::4]
-    for framings in grid:
-        fl = fixture(name, framings)
-        cx = handle_complex_from_link(fl)
-        betti = cx.betti_by_degree() + (0,) * (4 - len(cx.betti_by_degree()))
-        assert betti == complement_homology(linking_matrix(fl)).betti
+    for framings in itertools.product((-1, 0, 1, 2), repeat=k):
+        _assert_classes(fixture(name, framings))
+
+
+@pytest.mark.parametrize("strands", (2, 3, 4, 5))
+def test_handle_complex_matches_oracle_on_braid_closures(strands):
+    rng = random.Random(strands)
+    for _ in range(60):
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(0, 12))]
+        d = parse_pd(braid_closure_pd(strands, word))
+        framings = tuple(rng.randint(-2, 3)
+                         for _ in range(d.component_count))
+        _assert_classes(FramedLink(d, framings))
 
 
 def test_handle_complex_extra_diagrams():
     # an alternating knot with mixed crossing signs and an even-linking
     # two-component link, neither in the catalog
     figure_eight = parse_pd("X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)")
-    fl = FramedLink(figure_eight, (1,))
-    assert handle_complex_from_link(fl).betti_by_degree() == (1, 1, 0, 0)
+    _assert_classes(FramedLink(figure_eight, (1,)))
     solomon = parse_pd("X(1,5,2,8),X(5,3,6,2),X(3,7,4,6),X(7,1,8,4)")
-    fl = FramedLink(solomon, (0, 1))
-    betti = handle_complex_from_link(fl).betti_by_degree()
-    assert betti == (1, 2, 1, 0)
-
-
-def test_handle_complex_kinked_diagrams():
-    for name in ("unknot-kink", "hopf-kink"):
-        fl = fixture(name, tuple(1 for _ in fixture(name).framings))
-        cx = handle_complex_from_link(fl)
-        betti = cx.betti_by_degree() + (0,) * (4 - len(cx.betti_by_degree()))
-        assert betti == complement_homology(linking_matrix(fl)).betti
+    for framings in ((0, 1), (1, 1)):
+        _assert_classes(FramedLink(solomon, framings))
 
 
 def test_handle_complex_structure_unknot():
+    # one over-arc and no under-crossing: its junction cell bounds 0
     cx = handle_complex_from_link(fixture("unknot", (1,)))
+    assert cx.boundary("A^1") == cx.boundary("J^1") == ()
+    assert cx.boundary("M^1") == ("A^1", "z1'^1")
+    assert cx.boundary("L^1") == ("z1'^1", "z1^1")
+    assert cx.boundary("D^1") == ("J^1", "z2^1")
     assert cx.boundary("p''") == ("z2^1",)
-    assert cx.boundary("F^1") == ("z1'^1", "z1^1")
     assert cx.boundary("z1^1") == ()
 
 
 def test_handle_complex_crossing_handles():
+    # each Hopf component passes under the other once: one over-arc
+    # each, and each longitude picks up the other's over-arc
     cx = handle_complex_from_link(fixture("hopf"))
-    assert cx.boundary("P^1") == ("z0^1", "z0^2")
-    assert cx.boundary("P^2") == ("z0^1", "z0^2")
-    # self-crossings bound nothing
+    assert cx.boundary("J^1") == cx.boundary("J^2") == ()
+    assert cx.boundary("L^1") == ("A^2", "z1^1")
+    assert cx.boundary("L^2") == ("A^1", "z1^2")
+    # three under-crossings cut the trefoil into three over-arcs; its
+    # writhe 3 is odd, so the framing-0 longitude picks up z1'
     cx = handle_complex_from_link(fixture("trefoil"))
-    for c in (1, 2, 3):
-        assert cx.boundary("P^%d" % c) == ()
+    assert [cx.boundary("J^%d" % n) for n in (1, 2, 3)] == [
+        ("A^1", "A^2"), ("A^2", "A^3"), ("A^1", "A^3")]
+    assert cx.boundary("L^1") == ("A^1", "A^2", "A^3", "z1'^1", "z1^1")
+    assert cx.boundary("D^1") == ("J^1", "J^2", "J^3", "z2^1")
 
 
 def test_handle_complex_connecting_handles():
@@ -411,26 +464,33 @@ def test_handle_complex_connecting_handles():
     assert cx.boundary("Q^1") == ("z0^1", "z0^2")
     assert cx.boundary("Q^2") == ("z0^2", "z0^3")
     assert cx.boundary("p''") == ("z2^1", "z2^2", "z2^3")
+    for j in (1, 2, 3):
+        assert cx.boundary("M^%d" % j) == ("A^%d" % j, "z1'^%d" % j)
+        assert cx.boundary("L^%d" % j) == ("z1^%d" % j,)
 
 
 def test_handle_complex_mixed_split_diagram():
-    # a Hopf pair split from two bare circles: three pieces, k = 4
+    # a Hopf pair split from two bare circles: k = 4
     diagram = parse_pd("O(7),O(2),X(3,5,4,6),X(5,3,6,4)")
     fl = FramedLink(diagram, (1, 0, -1, 2))
-    cx = handle_complex_from_link(fl)
-    assert cx.betti_by_degree() == (1, 4, 3, 0)
-    want = complement_homology(linking_matrix(fl)).betti
-    assert cx.betti_by_degree() == want
+    assert handle_complex_from_link(fl).betti_by_degree() == (1, 4, 3, 0)
+    _assert_classes(fl)
 
 
 def test_nonplanar_pd_rejected():
     diagram = parse_pd("X(1,3,2,4),X(2,4,3,1)")
-    with pytest.raises(errors.NonPlanarPD):
+    with pytest.raises(errors.NonPlanarPD, match="crossing 1: .* 2 faces, "
+                                                 "expected 4"):
         handle_complex_from_link(FramedLink(diagram, (0,)))
+    # the same piece after a planar Hopf piece: its smallest crossing
+    diagram = parse_pd("X(1,3,2,4),X(3,1,4,2),X(5,7,6,8),X(6,8,7,5)")
+    with pytest.raises(errors.NonPlanarPD, match="crossing 3: "):
+        handle_complex_from_link(FramedLink(diagram, (0, 0, 0)))
 
 
 def test_handle_complex_json():
     cx = handle_complex_from_link(fixture("unknot"))
     blob = cx.to_json()
     names = {g["name"] for g in blob["generators"]}
-    assert {"z0^1", "z1^1", "z1'^1", "z2^1", "F^1", "p''"} <= names
+    assert names == {"z0^1", "z1^1", "z1'^1", "z2^1", "A^1", "J^1", "M^1",
+                     "L^1", "D^1", "p''"}
