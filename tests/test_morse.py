@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from fukaya_flow import errors, f2, morse
-from fukaya_flow.links import FramedLink, fixture, parse_pd
+from fukaya_flow.homology import complement_homology
+from fukaya_flow.links import FramedLink, fixture, linking_matrix, parse_pd
 from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
                                CircleModel, Correspondence,
                                CriticalComponent, IntersectionDescription,
@@ -408,6 +409,20 @@ def test_handle_complex_matches_oracle(name):
     k = fixture(name).diagram.component_count
     for framings in itertools.product((-1, 0, 1, 2), repeat=k):
         _assert_classes(fixture(name, framings))
+
+
+@pytest.mark.parametrize("name", CATALOG[:6])
+def test_handle_complex_framings_grid(name):
+    # ranks against the independent linking-matrix oracle
+    k = fixture(name).diagram.component_count
+    grid = list(itertools.product((-1, 0, 1, 2), repeat=k))
+    if len(grid) > 16:
+        grid = grid[::4]
+    for framings in grid:
+        fl = fixture(name, framings)
+        cx = handle_complex_from_link(fl)
+        betti = cx.betti_by_degree() + (0,) * (4 - len(cx.betti_by_degree()))
+        assert betti == complement_homology(linking_matrix(fl)).betti
 
 
 @pytest.mark.parametrize("strands", (2, 3, 4, 5))
