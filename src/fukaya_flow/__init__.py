@@ -10,7 +10,7 @@ from .errors import FukayaFlowError
 from .flow import DirectedCategoryPresentation, build_flow_category, \
     relation_table, rp2_category
 from .fukaya import build_fukaya_category, verify_theorem_b
-from .homology import ComplementHomology, F2Presentation, GradedClass, \
+from .homology import ComplementHomology, F2Presentation, \
     complement_homology
 from .links import FramedLink, LinkDiagram, LinkingMatrix, fixture, \
     linking_matrix, linking_number, parse_pd
@@ -20,7 +20,7 @@ from .morse import CascadeComplex, CriticalComponent, Correspondence, \
 __all__ = [
     "CascadeComplex", "ComplementHomology", "Correspondence",
     "CriticalComponent", "DirectedCategoryPresentation", "F2Presentation",
-    "FramedLink", "FukayaFlowError", "GradedClass", "LinkDiagram",
+    "FramedLink", "FukayaFlowError", "LinkDiagram",
     "LinkingMatrix", "build_flow_category", "build_fukaya_category",
     "cascade_moduli", "complement_homology", "differential_case_I",
     "fixture", "handle_complex_from_link", "linking_matrix",

@@ -60,10 +60,25 @@ def _add_link_input(sub: argparse.ArgumentParser, required: bool) -> None:
                      help="disable fixture-name resolution")
 
 
+def _int_list(flag: str, text: str, count: int | None = None
+              ) -> tuple[int, ...]:
+    """Comma-separated integers, exactly count of them when count is
+    given; otherwise MalformedArgument names the flag."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise MalformedArgument(
+            "%s must be %scomma-separated integers, got %r"
+            % (flag, "" if count is None else "exactly %d " % count, text))
+    return values
+
+
 def _load_framed_link(args) -> links.FramedLink:
     framings = None
     if args.framings:
-        framings = tuple(int(x) for x in args.framings.split(","))
+        framings = _int_list("--framings", args.framings)
     if args.fixture:
         if args.no_fixtures:
             raise FukayaFlowError("--fixture disabled by --no-fixtures")
@@ -196,6 +211,9 @@ def cmd_cascade_diagnostics(args) -> int:
         upper, lower, corr = morse.standard_upper_pair()
     else:
         upper, lower, corr = morse.standard_lower_pair()
+    if args.cascades < 0:
+        raise MalformedArgument("--cascades must be at least 0, got %d"
+                                % args.cascades)
     data = morse.CascadeData((upper, lower), (corr,))
     configs = morse.cascade_moduli(data, args.source, args.target,
                                    args.cascades)
@@ -274,7 +292,8 @@ def cmd_maslov(args) -> int:
 
 def cmd_glued_index(args) -> int:
     if args.triangle_system:
-        n, mu, mu_prime = (int(x) for x in args.triangle_system.split(","))
+        n, mu, mu_prime = _int_list("--triangle-system",
+                                    args.triangle_system, 3)
         index_h, index_v = maslov.solve_triangle_system(n, mu, mu_prime)
         _write_out("index_H %d\nindex_V %d\n" % (index_h, index_v), args.out)
         return 0

@@ -27,6 +27,14 @@ class SameComponent(FukayaFlowError):
     """Linking number of a component with itself was requested."""
 
 
+class UnknownFixture(FukayaFlowError, KeyError):
+    """A fixture name is not in the catalog."""
+
+    def __str__(self) -> str:
+        # the plain message, not KeyError's quoted repr of it
+        return Exception.__str__(self)
+
+
 # --- presentations ---
 
 class DuplicateGeneratorName(FukayaFlowError):

@@ -6,9 +6,11 @@ bottom object.  Morphism spaces point strictly downward; hom(a, a) is
 spanned by a formal identity and hom spaces against the order are zero.
 Composition is a bilinear table from hom(top, mid_j) x hom(mid_j,
 bottom) into hom(top, bottom); products through distinct middle objects
-vanish.  Triple and higher products vanish identically for three-level
-directed categories; higher_product keeps that slot explicit so
-associativity-style checks can be phrased uniformly.
+vanish.  The constructor is the one place a category is checked: the
+hom layers must match the middle objects, object names must be
+distinct, each table key's generators must belong to that key's middle
+object, and every table entry is stored in the canonical basis of
+hom(top, bottom).
 
 build_flow_category computes, for a framed link, the category whose
 hom(top, mid_j) is spanned by the classes [K+^j], [p+^j] of the j-th
@@ -19,8 +21,7 @@ composition table is
     [K+^j] * [p-^j] = mu^j           [p+^j] * [K-^j] = lambda^j + m_j mu^j
     [K+^j] * [K-^j] = dU^j           [p+^j] * [p-^j] = q^j
 
-with all outputs rewritten in the canonical basis of the complement
-homology.
+with all outputs in the canonical basis of the complement homology.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .homology import ComplementHomology, F2Presentation, GradedClass, \
+from .homology import ComplementHomology, F2Presentation, \
     complement_homology
 from .links import FramedLink, LinkingMatrix, linking_matrix
 
@@ -42,10 +43,30 @@ class DirectedCategoryPresentation:
     hom_mid_bottom: tuple[F2Presentation, ...]
     hom_top_bottom: F2Presentation
     # (middle index, generator of hom(top,mid), generator of hom(mid,bottom))
-    # -> canonical-basis support in hom(top,bottom)
+    # -> support in hom(top,bottom), stored in the canonical basis
     table: Mapping[tuple[int, str, str], tuple[str, ...]]
     # the framed linking data the category was built from, when link-built
     linking: LinkingMatrix | None = None
+
+    def __post_init__(self):
+        k = len(self.middles)
+        if len(self.hom_top_mid) != k or len(self.hom_mid_bottom) != k:
+            raise ValueError("hom layers out of step with middle objects")
+        if len(set(self.objects)) != len(self.objects):
+            raise ValueError("object names must be distinct")
+        table = {}
+        for key, support in self.table.items():
+            mid, u, v = key
+            if not 0 <= mid < k:
+                raise ValueError("table key %r names no middle object"
+                                 % (key,))
+            for g, layer in ((u, self.hom_top_mid), (v, self.hom_mid_bottom)):
+                if g not in layer[mid].generators:
+                    raise ValueError(
+                        "table key %r: generator %r is not a morphism of "
+                        "middle object %s" % (key, g, self.middles[mid]))
+            table[key] = self.hom_top_bottom.canonical_names(support)
+        object.__setattr__(self, "table", table)
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -85,31 +106,6 @@ class DirectedCategoryPresentation:
         if mid_u == mid_v:
             return self.compose(mid_u, u, v)
         return ()
-
-    def higher_product(self, order: int, *chains) -> tuple[str, ...]:
-        """Products of order >= 3 vanish identically; the slot is kept so
-        associativity-style checks can be phrased uniformly."""
-        if order < 3:
-            raise ValueError("higher_product is for order >= 3")
-        return ()
-
-    # --- structural checks ------------------------------------------------
-
-    def validate(self) -> None:
-        k = len(self.middles)
-        if len(self.hom_top_mid) != k or len(self.hom_mid_bottom) != k:
-            raise ValueError("hom layers out of step with middle objects")
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("object names must be distinct")
-        for (mid, gu, gv), out in self.table.items():
-            if gu not in self.hom_top_mid[mid].generators:
-                raise ValueError("unknown generator %r" % (gu,))
-            if gv not in self.hom_mid_bottom[mid].generators:
-                raise ValueError("unknown generator %r" % (gv,))
-            vec = self.hom_top_bottom.vector(out)
-            if self.hom_top_bottom.canonicalize(vec) != vec:
-                raise ValueError(
-                    "table entry %r not in canonical form" % ((mid, gu, gv),))
 
     # --- export -----------------------------------------------------------
 
@@ -156,72 +152,41 @@ def flow_generator_names(k: int) -> dict[str, list[str]]:
 def _complement_presentation(homology: ComplementHomology) -> F2Presentation:
     """Single presentation joining the complement homology degrees,
     ordered degree 0, 1, 2."""
-    gens: list[str] = []
-    classes: list[GradedClass] = []
-    rels: list[tuple[str, ...]] = []
-    for degree in (0, 1, 2):
-        pres = homology[degree]
-        gens.extend(pres.generators)
-        if pres.classes:
-            classes.extend(pres.classes)
-        rels.extend(pres.names(r) for r in pres.relations)
-    return F2Presentation(gens, rels, classes)
+    degrees = [homology[degree] for degree in (0, 1, 2)]
+    return F2Presentation(
+        [g for pres in degrees for g in pres.generators],
+        [pres.names(r) for pres in degrees for r in pres.relations])
 
 
 def build_flow_category(fl: FramedLink) -> DirectedCategoryPresentation:
     """Flow category of the framed link: generators from the attaching
     circles, hom(top, bottom) from the complement homology, and the
-    four-product composition table, canonicalized."""
+    four-product composition table."""
     matrix = linking_matrix(fl)
     k = matrix.size
-    homology = complement_homology(matrix)
-    bottom_pres = _complement_presentation(homology)
     names = flow_generator_names(k)
-
-    hom_top_mid = tuple(
-        F2Presentation(names["top_mid"][j], (),
-                       (GradedClass(names["top_mid"][j][0], 1,
-                                    "K+^%d" % (j + 1)),
-                        GradedClass(names["top_mid"][j][1], 0,
-                                    "K+^%d" % (j + 1))))
-        for j in range(k))
-    hom_mid_bottom = tuple(
-        F2Presentation(names["mid_bottom"][j], (),
-                       (GradedClass(names["mid_bottom"][j][0], 1,
-                                    "K-^%d" % (j + 1)),
-                        GradedClass(names["mid_bottom"][j][1], 0,
-                                    "K-^%d" % (j + 1))))
-        for j in range(k))
 
     table: dict[tuple[int, str, str], tuple[str, ...]] = {}
     for j in range(k):
         kp, pp = names["top_mid"][j]
         km, pm = names["mid_bottom"][j]
         m_j = matrix.framing(j) % 2
-        lam_vec = ["lambda^%d" % (j + 1)] + (["mu^%d" % (j + 1)] if m_j
-                                             else [])
-        entries = {
-            (j, kp, pm): ("mu^%d" % (j + 1),),
-            (j, pp, km): tuple(lam_vec),
-            (j, kp, km): ("dU^%d" % (j + 1),),
-            (j, pp, pm): ("q^%d" % (j + 1),),
-        }
-        for key, support in entries.items():
-            vec = bottom_pres.canonicalize(bottom_pres.vector(support))
-            table[key] = bottom_pres.names(vec)
+        table[(j, kp, pm)] = ("mu^%d" % (j + 1),)
+        table[(j, pp, km)] = ("lambda^%d" % (j + 1),) + (
+            ("mu^%d" % (j + 1),) if m_j else ())
+        table[(j, kp, km)] = ("dU^%d" % (j + 1),)
+        table[(j, pp, pm)] = ("q^%d" % (j + 1),)
 
-    cat = DirectedCategoryPresentation(
+    return DirectedCategoryPresentation(
         top="x_4",
         middles=tuple("x_2^%d" % (j + 1) for j in range(k)),
         bottom="x_0",
-        hom_top_mid=hom_top_mid,
-        hom_mid_bottom=hom_mid_bottom,
-        hom_top_bottom=bottom_pres,
+        hom_top_mid=tuple(map(F2Presentation, names["top_mid"])),
+        hom_mid_bottom=tuple(map(F2Presentation, names["mid_bottom"])),
+        hom_top_bottom=_complement_presentation(complement_homology(matrix)),
         table=table,
         linking=matrix,
     )
-    cat.validate()
-    return cat
 
 
 @dataclass(frozen=True)
@@ -295,9 +260,7 @@ def rp2_category() -> DirectedCategoryPresentation:
         (0, "A_2", "B_1"): ("C_2",),
         (0, "A_1", "B_2"): ("C_2",),
     }
-    cat = DirectedCategoryPresentation(
+    return DirectedCategoryPresentation(
         top="x_2", middles=("x_1",), bottom="x_0",
         hom_top_mid=(hom_a,), hom_mid_bottom=(hom_b,),
         hom_top_bottom=hom_c, table=table)
-    cat.validate()
-    return cat

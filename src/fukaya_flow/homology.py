@@ -3,7 +3,10 @@
 An F2Presentation is a Z/2 vector space given by named generators and
 linear relations.  reduce() row-reduces the relations, selects the
 canonical basis (the pivot-free generators, with generator order as
-column order) and rewrites every generator in that basis.
+column order) and rewrites every generator in that basis.  Generators
+carry names only, no degree or component tags.  The directed categories
+of flow.py store their composition-table entries in this canonical
+basis when they are constructed.
 
 complement_homology() produces the presentation, in each homological
 degree 0..3, of the homology of a framed-link complement: one point
@@ -17,32 +20,18 @@ three.  The Z/2 Betti numbers are (1, k, k-1, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import f2
 from .errors import DuplicateGeneratorName
 from .links import LinkingMatrix
 
 
-@dataclass(frozen=True)
-class GradedClass:
-    """Bookkeeping tag for a named generator.
-
-    degree is retained but never used in rank computations; component
-    names the geometric piece the class lives on.
-    """
-
-    name: str
-    degree: Optional[int] = None
-    component: Optional[str] = None
-
-
 class F2Presentation:
     """Z/2 vector space with named generators and linear relations."""
 
     def __init__(self, generators: Sequence[str],
-                 relations: Iterable[Sequence[str] | int] = (),
-                 classes: Sequence[GradedClass] | None = None):
+                 relations: Iterable[Sequence[str] | int] = ()):
         gens = tuple(generators)
         if len(set(gens)) != len(gens):
             raise DuplicateGeneratorName(
@@ -53,7 +42,6 @@ class F2Presentation:
         for r in relations:
             rels.append(r if isinstance(r, int) else self.vector(r))
         self.relations = tuple(rels)
-        self.classes = tuple(classes) if classes is not None else None
         self._rref, self._pivots = f2.rref(self.relations)
         self._span = f2.Reducer(self._rref)
 
@@ -98,7 +86,7 @@ class F2Presentation:
 
         Idempotent: reducing a reduced presentation returns an equal one.
         """
-        return F2Presentation(self.generators, self._rref, self.classes)
+        return F2Presentation(self.generators, self._rref)
 
     # --- comparisons and export ------------------------------------------
 
@@ -158,10 +146,7 @@ def complement_homology(matrix: LinkingMatrix) -> ComplementHomology:
     ell = matrix.entries
 
     q = [f"q^{j + 1}" for j in range(k)]
-    deg0 = F2Presentation(
-        q,
-        [(q[j], q[j + 1]) for j in range(k - 1)],
-        [GradedClass(n, 0, f"torus_{j + 1}") for j, n in enumerate(q)])
+    deg0 = F2Presentation(q, [(q[j], q[j + 1]) for j in range(k - 1)])
 
     # meridians first so the longitude relations pivot on the lambdas
     # and the canonical basis is the meridian classes
@@ -172,15 +157,10 @@ def complement_homology(matrix: LinkingMatrix) -> ComplementHomology:
         rel = [lam[j]]
         rel += [mu[i] for i in range(k) if i != j and ell[j][i] % 2 == 1]
         rels1.append(rel)
-    deg1 = F2Presentation(
-        mu + lam, rels1,
-        [GradedClass(n, 1, f"torus_{j + 1}") for j, n in enumerate(mu)]
-        + [GradedClass(n, 1, f"torus_{j + 1}") for j, n in enumerate(lam)])
+    deg1 = F2Presentation(mu + lam, rels1)
 
     du = [f"dU^{j + 1}" for j in range(k)]
-    deg2 = F2Presentation(
-        du, [tuple(du)],
-        [GradedClass(n, 2, f"torus_{j + 1}") for j, n in enumerate(du)])
+    deg2 = F2Presentation(du, [tuple(du)])
 
     deg3 = F2Presentation(())
 

@@ -33,7 +33,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import (ArcLabelNotPairedTwice, InconsistentOrientation,
-                     MalformedToken, SameComponent)
+                     MalformedToken, SameComponent, UnknownFixture)
 
 _TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)"
                     r"|O\(\s*(\d+)\s*\)")
@@ -62,20 +62,12 @@ class LinkDiagram:
     def component_count(self) -> int:
         return len(self.components)
 
-    # Both tables are computed once per diagram and stored in the
-    # instance dict; the dataclass fields, equality and hash are unchanged.
-    @cached_property
-    def _arc_components(self) -> dict[int, int]:
-        return {a: i for i, comp in enumerate(self.components) for a in comp}
-
+    # The table is computed once per diagram and stored in the instance
+    # dict; the dataclass fields, equality and hash are unchanged.
     @cached_property
     def _crossing_table(self) -> tuple[tuple[int, int], ...]:
-        cmap = self._arc_components
+        cmap = {a: i for i, comp in enumerate(self.components) for a in comp}
         return tuple((cmap[a], cmap[b]) for a, b, _, _ in self.crossings)
-
-    def component_map(self) -> dict[int, int]:
-        """Arc label -> component index (shared; do not mutate)."""
-        return self._arc_components
 
     def crossing_components(self, c: int) -> tuple[int, int]:
         """(under component, over component) of crossing c."""
@@ -168,10 +160,15 @@ def _tokenize(text: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
         if m is None:
             raise MalformedToken(
                 "bad token at offset %d in %r" % (pos, text))
-        if m.group(5) is not None:
-            circles.append(int(m.group(5)))
+        labels = tuple(int(a) for a in m.groups() if a is not None)
+        if 0 in labels:
+            raise MalformedToken(
+                "arc label 0 in the token at offset %d in %r; arc labels "
+                "are positive integers" % (pos, text))
+        if len(labels) == 1:
+            circles.append(labels[0])
         else:
-            quadruples.append(tuple(int(m.group(i)) for i in (1, 2, 3, 4)))
+            quadruples.append(labels)
         pos = m.end()
         expecting_token = False
     if expecting_token:
@@ -434,8 +431,8 @@ def fixture(name: str,
     """Build a named catalog link, optionally overriding its framings."""
     catalog = load_catalog()
     if name not in catalog:
-        raise KeyError("unknown fixture %r (have: %s)"
-                       % (name, ", ".join(sorted(catalog))))
+        raise UnknownFixture("unknown fixture %r (have: %s)"
+                             % (name, ", ".join(sorted(catalog))))
     pd, default = catalog[name]
     diagram = parse_pd(pd)
     chosen = tuple(framings) if framings is not None else default

@@ -40,7 +40,6 @@ from . import f2
 from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
                      NonPlanarPD, NonTransverse, UnknownGenerator,
                      UnsupportedModel)
-from .homology import F2Presentation, GradedClass
 from .links import FramedLink, LinkDiagram
 
 Frac = Fraction
@@ -513,16 +512,6 @@ class CascadeComplex:
                                      for i in f2.bits(combo)))
         return tuple(reps)
 
-    def homology(self) -> F2Presentation:
-        """ker/im as a free presentation on chosen representatives."""
-        reps = self.homology_basis()
-        classes = None
-        if self.degrees:
-            classes = tuple(
-                GradedClass(r, self.degrees.get(r),
-                            self.components.get(r)) for r in reps)
-        return F2Presentation(reps, (), classes)
-
     def betti(self) -> int:
         cols = self._cols
         n = len(self.generators)
@@ -742,8 +731,11 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
 
     k = 0 describes U(x) and S(y) intersections inside one component;
     k = 1 runs through a single correspondence.  For k >= 2 chains of
-    correspondences with strictly decreasing action are enumerated; the
-    fixtures here have two action levels, so those chains are empty.
+    correspondences are enumerated.  Every correspondence strictly
+    decreases the action, so a chain of k of them passes k + 1 distinct
+    action levels and none exists once k reaches the number of levels;
+    the fixtures here have two levels, so their chains for k >= 2 are
+    empty.
     """
     comp_x = comp_y = None
     for c in data.components:
@@ -770,15 +762,14 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
                  "dim": desc.dim,
                  "points": [[str(v) for v in p] for p in desc.points]}]
 
+    if k >= len({c.action for c in data.components}):
+        return []
     chains = [
         chain for chain in itertools.product(data.correspondences, repeat=k)
         if chain[0].source == comp_x.name
         and chain[-1].target == comp_y.name
         and all(chain[i].target == chain[i + 1].source
                 for i in range(k - 1))
-        and all(data.component(chain[i].source).action
-                > data.component(chain[i].target).action
-                for i in range(k))
     ]
     if k >= 2 and chains:
         raise UnsupportedModel(

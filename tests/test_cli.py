@@ -74,6 +74,12 @@ def test_parse_errors_exit_2(capsys):
     assert code == 0
 
 
+def test_unknown_fixture_exit_2(capsys):
+    code, _, err = run(capsys, "flow-category", "--fixture", "nope")
+    assert code == 2
+    assert err.startswith("error: unknown fixture 'nope'")
+
+
 def test_no_fixtures_flag(capsys):
     code, _, err = run(capsys, "linking-matrix", "--fixture", "hopf",
                        "--no-fixtures")
@@ -237,3 +243,28 @@ def test_unknown_cascade_generator_exit_2():
     assert "nope" in proc.stderr
     assert "a1" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("linking-matrix", "--fixture", "hopf", "--framings", "1,x"),
+     "--framings"),
+    (("glued-index", "--triangle-system", "1,2"), "--triangle-system"),
+    (("glued-index", "--triangle-system", "1,2,z"), "--triangle-system"),
+    (("cascade-diagnostics", "--source", "x2", "--target", "a0",
+      "--cascades", "-1"), "--cascades"),
+])
+def test_bad_flag_values_name_the_flag(argv, flag):
+    proc = _python("-m", "fukaya_flow.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: " + flag)
+    assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_tracer_installs():
+    """Every function the benchmark's --trace 1 wraps still exists."""
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "perfbench")
+    proc = _python("-c", "import sys; sys.path.insert(0, %r); "
+                   "from tracer import Tracer; Tracer().install()"
+                   % perfbench)
+    assert proc.returncode == 0, proc.stderr

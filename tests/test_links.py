@@ -37,7 +37,8 @@ def test_parse_arity_violation():
 
 
 def test_parse_garbage_tokens():
-    for text in ("Y(1,2,3,4)", "X(1,2,3,4),", "X(a,b,c,d)", "X(1 2 3 4)"):
+    for text in ("Y(1,2,3,4)", "X(1,2,3,4),", "X(a,b,c,d)", "X(1 2 3 4)",
+                 "X(0,0,1,1)", "O(0)"):
         with pytest.raises(errors.MalformedToken):
             parse_pd(text)
 

@@ -168,6 +168,14 @@ def test_cascade_moduli_k2_empty():
     assert cascade_moduli(data, "x2", "a0", 2) == []
 
 
+def test_cascade_moduli_bounded_by_action_levels():
+    # a chain of k correspondences passes k + 1 distinct action levels,
+    # so k = 30 over two levels is empty without trying 6^30 chains
+    upper, lower, corr = standard_upper_pair()
+    data = CascadeData((upper, lower), (corr,) * 6)
+    assert cascade_moduli(data, "x2", "a0", 30) == []
+
+
 def test_unsupported_model_error():
     with pytest.raises(errors.UnsupportedModel):
         two_point_profile(F(0), F(0))
