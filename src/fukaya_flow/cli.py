@@ -173,13 +173,15 @@ def cmd_verify_theorem_b(args) -> int:
     return 0
 
 
+# --pair -> the standard Morse-Bott pair; the function is looked up in
+# morse at call time, so a wrapper installed there later is the one run
+STANDARD_PAIRS = {"upper": lambda: morse.standard_upper_pair(),
+                  "lower": lambda: morse.standard_lower_pair()}
+
+
 def cmd_morse_bott(args) -> int:
     if args.mode == "case-I":
-        if args.pair == "upper":
-            upper, lower, corr = morse.standard_upper_pair()
-        else:
-            upper, lower, corr = morse.standard_lower_pair()
-        complex_ = morse.differential_case_I(upper, lower, corr)
+        complex_ = morse.differential_case_I(*STANDARD_PAIRS[args.pair]())
         data = {
             "complex": complex_.to_json(),
             "homology_basis": list(complex_.homology_basis()),
@@ -207,10 +209,7 @@ def cmd_morse_bott(args) -> int:
 
 
 def cmd_cascade_diagnostics(args) -> int:
-    if args.pair == "upper":
-        upper, lower, corr = morse.standard_upper_pair()
-    else:
-        upper, lower, corr = morse.standard_lower_pair()
+    upper, lower, corr = STANDARD_PAIRS[args.pair]()
     if args.cascades < 0:
         raise MalformedArgument("--cascades must be at least 0, got %d"
                                 % args.cascades)
@@ -405,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("morse-bott", cmd_morse_bott, ("text", "json"))
     p.add_argument("mode", choices=("case-I", "handles"))
-    p.add_argument("--pair", choices=("upper", "lower"), default="upper")
+    p.add_argument("--pair", choices=STANDARD_PAIRS, default="upper")
     _add_link_input(p, required=False)
 
     p = add("cascade-diagnostics", cmd_cascade_diagnostics,
             ("text", "json"))
-    p.add_argument("--pair", choices=("upper", "lower"), default="upper")
+    p.add_argument("--pair", choices=STANDARD_PAIRS, default="upper")
     p.add_argument("--cascades", type=int, default=1)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)

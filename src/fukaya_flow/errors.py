@@ -59,7 +59,10 @@ class NonPlanarPD(FukayaFlowError):
 
 
 class UnsupportedModel(FukayaFlowError):
-    """A critical component is not a point, circle, or torus flat model."""
+    """Morse-Bott data outside the modelled range: a flat model with more
+    than two circle factors or names that miss the point grid or repeat,
+    a bad circle profile, a correspondence cell above (R/Z)^2, or a
+    cascade chain of two or more correspondences."""
 
 
 class ActionOrderViolation(FukayaFlowError):
@@ -68,6 +71,10 @@ class ActionOrderViolation(FukayaFlowError):
 
 class UnknownGenerator(FukayaFlowError):
     """A generator name belongs to no critical component."""
+
+
+class NegativeCascadeCount(FukayaFlowError):
+    """A cascade enumeration was asked for fewer than zero strips."""
 
 
 # --- index calculus ---

@@ -9,8 +9,8 @@ bottom) into hom(top, bottom); products through distinct middle objects
 vanish.  The constructor is the one place a category is checked: the
 hom layers must match the middle objects, object names must be
 distinct, each table key's generators must belong to that key's middle
-object, and every table entry is stored in the canonical basis of
-hom(top, bottom).
+object, each entry must name generators of hom(top, bottom), and every
+entry is stored in the canonical basis of hom(top, bottom).
 
 build_flow_category computes, for a framed link, the category whose
 hom(top, mid_j) is spanned by the classes [K+^j], [p+^j] of the j-th
@@ -65,7 +65,13 @@ class DirectedCategoryPresentation:
                     raise ValueError(
                         "table key %r: generator %r is not a morphism of "
                         "middle object %s" % (key, g, self.middles[mid]))
-            table[key] = self.hom_top_bottom.canonical_names(support)
+            try:
+                table[key] = self.hom_top_bottom.canonical_names(support)
+            except KeyError as exc:
+                raise ValueError(
+                    "table key %r: product generator %r is not a morphism "
+                    "of hom(%s, %s)" % (key, exc.args[0], self.top,
+                                        self.bottom)) from None
         object.__setattr__(self, "table", table)
 
     @property

@@ -208,10 +208,6 @@ def ellipse_axes(lam: float) -> tuple[float, float]:
     return math.sqrt(1.0 + 4.0 * lam * lam), 2.0 * lam
 
 
-def _checked_root(w: complex) -> complex:
-    return cmath.sqrt(w)
-
-
 def trivialization(point: QuadricPoint, region_check: bool = True,
                    allow_any_branch: bool = False
                    ) -> tuple[complex, tuple[complex, complex],
@@ -237,8 +233,8 @@ def trivialization(point: QuadricPoint, region_check: bool = True,
     if region_check and lam.imag < -BRANCH_TOL:
         raise BranchCutProximity(
             "lam = %r is outside the upper half-plane region" % (lam,))
-    alpha = _checked_root(2.0 / (1.0 + lam))
-    beta = _checked_root(2.0 / (1.0 - lam))
+    alpha = cmath.sqrt(2.0 / (1.0 + lam))
+    beta = cmath.sqrt(2.0 / (1.0 - lam))
     first = (alpha * z[0], alpha * z[1])
     second = (beta * z[2], beta * z[3])
     return lam, first, second

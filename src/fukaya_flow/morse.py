@@ -1,10 +1,12 @@
 """Combinatorial Morse-Bott cascade complexes on flat models.
 
-Critical components are points, circles R/Z, or tori (R/Z)^2 with
-product Morse data; all coordinates are rational, unstable and stable
-sets are axis-aligned cells, and every intersection is decided exactly
-by one rational eliminator (RationalReducer) and a search over D^r
-lattice translates (see intersect_cell_groups).  NonTransverse is
+A critical component carries one product flat model (FlatModel): a
+point, a circle R/Z or a torus (R/Z)^2 is the product of zero, one or
+two circle Morse functions.  All coordinates are rational, unstable and
+stable sets are axis-aligned product cells, and every intersection of
+cells pulled back along evaluation maps is decided exactly by one
+rational eliminator (RationalReducer) and a search over D^r lattice
+translates (see intersect_cell_groups).  NonTransverse is
 raised only for a rank-deficient overlap that is consistent and for a
 point on a cell boundary or at a deleted marked point; an inconsistent
 overlap is empty.  No floating point enters this module.
@@ -38,8 +40,8 @@ from typing import Mapping, Optional
 
 from . import f2
 from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
-                     NonPlanarPD, NonTransverse, UnknownGenerator,
-                     UnsupportedModel)
+                     NegativeCascadeCount, NonPlanarPD, NonTransverse,
+                     UnknownGenerator, UnsupportedModel)
 from .links import FramedLink, LinkDiagram
 
 Frac = Fraction
@@ -113,100 +115,67 @@ def two_point_profile(min_pos: Frac, max_pos: Frac) -> CircleProfile:
 
 
 @dataclass(frozen=True)
-class PointModel:
-    name: str
+class FlatModel:
+    """Product Morse data on (R/Z)^dim, one CircleProfile per factor:
+    no factor is a point, one a circle and two a torus.
+
+    A critical point is keyed by its tuple of positions in the factor
+    profiles, names maps every key of the point grid to a distinct
+    generator name, and its degree is index plus the Morse indices of
+    its factors."""
+
+    profiles: tuple[CircleProfile, ...]
+    names: Mapping[tuple[int, ...], str]
     index: int = 0
 
-    dim = 0
-
-    def generator_names(self):
-        return (self.name,)
-
-    def degrees(self):
-        return (self.index,)
-
-    def unstable(self, name):
-        return ()
-
-    stable = unstable
-
-    def boundary(self, name):
-        return ()
-
-
-@dataclass(frozen=True)
-class CircleModel:
-    profile: CircleProfile
-    names: tuple[str, ...]
-
-    dim = 1
-
     def __post_init__(self):
-        if len(self.names) != len(self.profile.points):
-            raise UnsupportedModel("one name per critical point")
+        if len(self.profiles) > 2:
+            raise UnsupportedModel("flat models up to (R/Z)^2 only")
+        grid = itertools.product(*(range(len(p.points))
+                                   for p in self.profiles))
+        if set(self.names) != set(grid):
+            raise UnsupportedModel("names must cover the point grid")
+        keys = {name: key for key, name in sorted(self.names.items())}
+        if len(keys) != len(self.names):
+            raise UnsupportedModel("generator names must be distinct")
+        object.__setattr__(self, "_keys", keys)
 
-    def generator_names(self):
-        return self.names
+    @property
+    def dim(self) -> int:
+        return len(self.profiles)
 
-    def degrees(self):
-        return tuple(idx for _, idx in self.profile.points)
+    def generator_names(self) -> tuple[str, ...]:
+        return tuple(self._keys)  # in key order
 
-    def _i(self, name):
-        return self.names.index(name)
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self.index + sum(p.points[i][1]
+                                      for p, i in zip(self.profiles, key))
+                     for key in self._keys.values())
 
-    def unstable(self, name):
-        return (self.profile.cell(self._i(name), False),)
+    def cells(self, name: str, stable: bool) -> tuple:
+        """The stable (else unstable) cell of a critical point: the
+        product of its factors' cells."""
+        return tuple(p.cell(i, stable)
+                     for p, i in zip(self.profiles, self._keys[name]))
 
-    def stable(self, name):
-        return (self.profile.cell(self._i(name), True),)
+    def boundary(self, name: str) -> tuple[str, ...]:
+        """Morse differential: move one factor at a time, mod 2."""
+        key = self._keys[name]
+        out: set[str] = set()
+        for f, p in enumerate(self.profiles):
+            for b in p.boundary(key[f]):
+                out ^= {self.names[key[:f] + (b,) + key[f + 1:]]}
+        return tuple(sorted(out))
 
-    def boundary(self, name):
-        return tuple(self.names[i] for i in self.profile.boundary(self._i(name)))
 
-
-@dataclass(frozen=True)
-class TorusModel:
-    """Product Morse data on (R/Z)^2; names keyed by point-index pairs."""
-
-    profile_x: CircleProfile
-    profile_y: CircleProfile
-    names: Mapping[tuple[int, int], str]
-
-    dim = 2
-
-    def __post_init__(self):
-        want = {(i, j) for i in range(len(self.profile_x.points))
-                for j in range(len(self.profile_y.points))}
-        if set(self.names) != want:
-            raise UnsupportedModel("torus names must cover the point grid")
-
-    def generator_names(self):
-        return tuple(self.names[key] for key in sorted(self.names))
-
-    def degrees(self):
-        return tuple(self.profile_x.points[i][1] + self.profile_y.points[j][1]
-                     for i, j in sorted(self.names))
-
-    def _key(self, name):
-        for key, val in self.names.items():
-            if val == name:
-                return key
-        raise KeyError(name)
-
-    def unstable(self, name):
-        i, j = self._key(name)
-        return (self.profile_x.cell(i, False), self.profile_y.cell(j, False))
-
-    def stable(self, name):
-        i, j = self._key(name)
-        return (self.profile_x.cell(i, True), self.profile_y.cell(j, True))
-
-    def boundary(self, name):
-        i, j = self._key(name)
-        out = [self.names[(b, j)] for b in self.profile_x.boundary(i)]
-        out += [self.names[(i, b)] for b in self.profile_y.boundary(j)]
-        # mod 2
-        return tuple(n for n in set(out) if out.count(n) % 2 == 1)
+def _by_indices(profiles: tuple[CircleProfile, ...],
+                names: Mapping[tuple[int, ...], str]) -> FlatModel:
+    """The flat model naming each critical point names[the Morse indices
+    of its factors]."""
+    return FlatModel(profiles, {
+        tuple(i for i, _ in pts): names[tuple(idx for _, (_, idx) in pts)]
+        for pts in itertools.product(*(enumerate(p.points)
+                                       for p in profiles))})
 
 
 @dataclass(frozen=True)
@@ -214,13 +183,12 @@ class CriticalComponent:
     """A named critical component with flat Morse data and an action level."""
 
     name: str
-    model: PointModel | CircleModel | TorusModel
+    model: FlatModel
     action: Frac
 
     def __post_init__(self):
-        if not isinstance(self.model, (PointModel, CircleModel, TorusModel)):
-            raise UnsupportedModel(
-                "component model must be a point, circle, or torus")
+        if not isinstance(self.model, FlatModel):
+            raise UnsupportedModel("component model must be a FlatModel")
 
     def generator_names(self):
         return self.model.generator_names()
@@ -455,6 +423,14 @@ def _at(combo: dict[int, Frac], target: dict[int, Frac]) -> Frac:
     return sum((c * target[i] for i, c in combo.items()), Frac(0))
 
 
+def _pull_back(m: int, *pulled: tuple[AffineMap, tuple]
+               ) -> IntersectionDescription:
+    """Intersection on (R/Z)^m of cells pulled back along evaluation
+    maps, one (ev, cells) pair per cell."""
+    return intersect_cell_groups(m, [_constraints(ev, cells)
+                                     for ev, cells in pulled])
+
+
 # --------------------------------------------------------------------------
 # cascade complexes
 # --------------------------------------------------------------------------
@@ -528,18 +504,14 @@ class CascadeComplex:
                 if self.degrees[h] != self.degrees[g] - 1:
                     raise ValueError(
                         "differential does not drop degree by one")
-        top = max(self.degrees.values())
-        index = {g: i for i, g in enumerate(self.generators)}
-        out = []
-        for d in range(top + 1):
-            gens_d = [g for g in self.generators if self.degrees[g] == d]
-            cols_d = [self._cols[index[g]] for g in gens_d]
-            rank_d = f2.rank(cols_d)
-            gens_up = [g for g in self.generators
-                       if self.degrees[g] == d + 1]
-            rank_up = f2.rank([self._cols[index[g]] for g in gens_up])
-            out.append(len(gens_d) - rank_d - rank_up)
-        return tuple(out)
+        cols_by_degree: dict[int, list[int]] = {}
+        for g, col in zip(self.generators, self._cols):
+            cols_by_degree.setdefault(self.degrees[g], []).append(col)
+        # b_d = n_d - rank(d on degree d) - rank(d on degree d + 1)
+        rank = {d: f2.rank(cols) for d, cols in cols_by_degree.items()}
+        return tuple(len(cols_by_degree.get(d, ())) - rank.get(d, 0)
+                     - rank.get(d + 1, 0)
+                     for d in range(max(self.degrees.values()) + 1))
 
     def to_json(self) -> dict:
         return {
@@ -551,13 +523,6 @@ class CascadeComplex:
                 [g, sorted(self.differential[g])]
                 for g in self.generators if self.differential.get(g)],
         }
-
-
-def _cross_count(source: CriticalComponent, target: CriticalComponent,
-                 corr: Correspondence, x: str, y: str) -> int:
-    groups = [_constraints(corr.ev_minus, source.model.unstable(x)),
-              _constraints(corr.ev_plus, target.model.stable(y))]
-    return intersect_cell_groups(corr.dim, groups).count_mod2
 
 
 def differential_case_I(source: CriticalComponent,
@@ -581,23 +546,20 @@ def differential_case_I(source: CriticalComponent,
     comp_of: dict[str, str] = {}
     diff: dict[str, tuple[str, ...]] = {}
     for comp in (source, target):
-        names = comp.model.generator_names()
-        degs = comp.model.degrees()
-        for n, d in zip(names, degs):
+        model = comp.model
+        for n, d in zip(model.generator_names(), model.degrees()):
             gens.append(n)
             degrees[n] = d
             comp_of[n] = comp.name
-
-    for comp in (source, target):
-        for n in comp.model.generator_names():
-            diff[n] = tuple(sorted(comp.model.boundary(n)))
+            diff[n] = model.boundary(n)
 
     if corr is not None:
         for x in source.model.generator_names():
-            extra = []
-            for y in target.model.generator_names():
-                if _cross_count(source, target, corr, x, y):
-                    extra.append(y)
+            unstable = (corr.ev_minus, source.model.cells(x, False))
+            extra = [y for y in target.model.generator_names()
+                     if _pull_back(corr.dim, unstable,
+                                   (corr.ev_plus, target.model.cells(y, True))
+                                   ).count_mod2]
             if extra:
                 diff[x] = tuple(sorted(set(diff[x]) ^ set(extra)))
 
@@ -608,23 +570,15 @@ def differential_case_I(source: CriticalComponent,
 # standard torus/circle data
 # --------------------------------------------------------------------------
 
-def square_torus(prefix: str, offset: Frac) -> TorusModel:
+def square_torus(prefix: str, offset: Frac) -> FlatModel:
     """Product torus with minima at offset and maxima at offset + 1/2 in
     each factor; critical points are named <prefix>2, <prefix>1 (minimum
     in the first factor), <prefix>1' (minimum in the second factor), and
     <prefix>0."""
     prof = two_point_profile(offset, Frac(1, 2) + offset)
-    names = {}
-    for i, (_, idx_i) in enumerate(prof.points):
-        for j, (_, idx_j) in enumerate(prof.points):
-            total = idx_i + idx_j
-            if total != 1:
-                names[(i, j)] = "%s%d" % (prefix, total)
-            elif idx_i == 0:
-                names[(i, j)] = "%s1" % prefix
-            else:
-                names[(i, j)] = "%s1'" % prefix
-    return TorusModel(prof, prof, names)
+    return _by_indices((prof, prof), {
+        (0, 0): prefix + "0", (0, 1): prefix + "1",
+        (1, 0): prefix + "1'", (1, 1): prefix + "2"})
 
 
 def standard_upper_pair(shift: Frac = Frac(0)):
@@ -636,9 +590,9 @@ def standard_upper_pair(shift: Frac = Frac(0)):
     is invariant under a common shift.
     """
     torus = square_torus("x", Frac(0))
-    circle = CircleModel(
-        two_point_profile(Frac(1, 4) + shift, Frac(3, 4) + shift),
-        _circle_names(Frac(1, 4) + shift, "a0", "a1"))
+    circle = _by_indices(
+        (two_point_profile(Frac(1, 4) + shift, Frac(3, 4) + shift),),
+        {(0,): "a0", (1,): "a1"})
     upper = CriticalComponent("Sigma42", torus, Frac(1))
     lower = CriticalComponent("K+", circle, Frac(0))
     corr = Correspondence("Sigma42", "K+", 2, identity_map(2),
@@ -652,9 +606,9 @@ def standard_lower_pair(shift: Frac = Frac(0)):
     factor; the differential is d y1 = b1, d y0 = b0 and the homology is
     freely spanned by y2, y1'."""
     torus = square_torus("y", Frac(1, 8))
-    circle = CircleModel(
-        two_point_profile(Frac(1, 4) + shift, Frac(3, 4) + shift),
-        _circle_names(Frac(1, 4) + shift, "b0", "b1"))
+    circle = _by_indices(
+        (two_point_profile(Frac(1, 4) + shift, Frac(3, 4) + shift),),
+        {(0,): "b0", (1,): "b1"})
     upper = CriticalComponent("Sigma20", torus, Frac(1))
     lower = CriticalComponent("K-", circle, Frac(0))
     corr = Correspondence("Sigma20", "K-", 2, identity_map(2),
@@ -682,23 +636,12 @@ def triangle_product_table() -> dict[tuple[str, str], tuple[str, ...]]:
     table: dict[tuple[str, str], tuple[str, ...]] = {}
     for x in tx.generator_names():
         for y in ty.generator_names():
-            out = []
-            for z in tz.generator_names():
-                groups = [_constraints(ident, tx.unstable(x)),
-                          _constraints(ident, ty.unstable(y)),
-                          _constraints(ident, tz.stable(z))]
-                if intersect_cell_groups(2, groups).count_mod2:
-                    out.append(z)
+            out = [z for z in tz.generator_names()
+                   if _pull_back(2, (ident, tx.cells(x, False)),
+                                 (ident, ty.cells(y, False)),
+                                 (ident, tz.cells(z, True))).count_mod2]
             table[(x, y)] = tuple(sorted(out))
     return table
-
-
-def _circle_names(min_pos: Frac, min_name: str, max_name: str
-                  ) -> tuple[str, str]:
-    # names follow the sorted point order of two_point_profile
-    if _mod1(min_pos) < _mod1(min_pos + Frac(1, 2)):
-        return (min_name, max_name)
-    return (max_name, min_name)
 
 
 # --------------------------------------------------------------------------
@@ -730,57 +673,53 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
     """Enumerate cascade configurations from x to y with k strips.
 
     k = 0 describes U(x) and S(y) intersections inside one component;
-    k = 1 runs through a single correspondence.  For k >= 2 chains of
-    correspondences are enumerated.  Every correspondence strictly
-    decreases the action, so a chain of k of them passes k + 1 distinct
-    action levels and none exists once k reaches the number of levels;
-    the fixtures here have two levels, so their chains for k >= 2 are
-    empty.
+    k = 1 runs through a single correspondence.  For k >= 2 the chains
+    of correspondences are walked: the components where chains of k - 1
+    of them from x's component end, then the correspondences from there
+    into y's.  Every correspondence strictly decreases the action, so
+    the walk runs dry within one step per action level; a chain of two
+    or more raises UnsupportedModel, and the fixtures here, with two
+    levels, have none.
     """
-    comp_x = comp_y = None
-    for c in data.components:
-        if x in c.generator_names():
-            comp_x = c
-        if y in c.generator_names():
-            comp_y = c
-    unknown = dict.fromkeys(name for name, comp
-                            in ((x, comp_x), (y, comp_y)) if comp is None)
+    if k < 0:
+        raise NegativeCascadeCount("cascade count must be at least 0, "
+                                   "got %d" % k)
+    comp_of = {g: c for c in data.components for g in c.generator_names()}
+    unknown = [name for name in dict.fromkeys((x, y)) if name not in comp_of]
     if unknown:
         raise UnknownGenerator(
             "unknown generator %s" % ", ".join(map(repr, unknown)))
+    comp_x, comp_y = comp_of[x], comp_of[y]
 
     if k == 0:
         if comp_x.name != comp_y.name:
             return []
         ident = identity_map(comp_x.model.dim)
-        desc = intersect_cell_groups(
-            comp_x.model.dim, [_constraints(ident, comp_x.model.unstable(x)),
-                               _constraints(ident, comp_x.model.stable(y))])
+        desc = _pull_back(comp_x.model.dim,
+                          (ident, comp_x.model.cells(x, False)),
+                          (ident, comp_x.model.cells(y, True)))
         if desc.empty and desc.dim == 0:
             return []
         return [{"cascades": 0, "component": comp_x.name,
                  "dim": desc.dim,
                  "points": [[str(v) for v in p] for p in desc.points]}]
 
-    if k >= len({c.action for c in data.components}):
-        return []
-    chains = [
-        chain for chain in itertools.product(data.correspondences, repeat=k)
-        if chain[0].source == comp_x.name
-        and chain[-1].target == comp_y.name
-        and all(chain[i].target == chain[i + 1].source
-                for i in range(k - 1))
-    ]
-    if k >= 2 and chains:
+    ends = {comp_x.name}
+    for _ in range(k - 1):
+        ends = {c.target for c in data.correspondences if c.source in ends}
+        if not ends:
+            break
+    last = [c for c in data.correspondences
+            if c.source in ends and c.target == comp_y.name]
+    if k >= 2 and last:
         raise UnsupportedModel(
             "gradient-segment matching for chains of %d cascades is not "
             "modeled; only single-correspondence data is supported" % k)
     out = []
-    for chain in chains:
-        corr = chain[0]
-        desc = intersect_cell_groups(
-            corr.dim, [_constraints(corr.ev_minus, comp_x.model.unstable(x)),
-                       _constraints(corr.ev_plus, comp_y.model.stable(y))])
+    for corr in last:
+        desc = _pull_back(corr.dim,
+                          (corr.ev_minus, comp_x.model.cells(x, False)),
+                          (corr.ev_plus, comp_y.model.cells(y, True)))
         if desc.empty and desc.dim == 0:
             continue
         out.append({"cascades": 1,

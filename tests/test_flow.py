@@ -92,6 +92,9 @@ def test_constructor_canonicalises_and_checks_keys():
         replace(cat, table={(1, "u1", "v2"): ("c1",)})
     with pytest.raises(ValueError, match="no middle object"):
         replace(cat, table={(2, "u1", "v1"): ()})
+    # a product that names no generator of hom(top, bottom)
+    with pytest.raises(ValueError, match=r"\(0, 'u1', 'v1'\).*'zz'"):
+        replace(cat, table={(0, "u1", "v1"): ("zz",)})
     fields["hom_mid_bottom"] = fields["hom_mid_bottom"][:1]
     with pytest.raises(ValueError, match="out of step"):
         DirectedCategoryPresentation(table={}, **fields)

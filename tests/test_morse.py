@@ -10,12 +10,13 @@ from fukaya_flow import errors, f2, morse
 from fukaya_flow.homology import complement_homology
 from fukaya_flow.links import FramedLink, fixture, linking_matrix, parse_pd
 from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
-                               CircleModel, Correspondence,
-                               CriticalComponent, IntersectionDescription,
-                               RationalReducer, TorusModel, cascade_moduli,
-                               differential_case_I, handle_complex_from_link,
-                               identity_map, intersect_cell_groups,
-                               projection_map, standard_lower_pair,
+                               CircleProfile, Correspondence,
+                               CriticalComponent, FlatModel,
+                               IntersectionDescription, RationalReducer,
+                               cascade_moduli, differential_case_I,
+                               handle_complex_from_link, identity_map,
+                               intersect_cell_groups, projection_map,
+                               square_torus, standard_lower_pair,
                                standard_upper_pair, two_point_profile)
 from test_links import braid_closure_pd, over_count
 
@@ -100,10 +101,10 @@ def test_random_correspondences_square_zero():
         s1 = F(rng.randrange(1, d1), d1)
         s2 = F(rng.randrange(1, d2), d2)
         prof = two_point_profile(s1, F(1, 2) + s1)
-        torus = TorusModel(prof, prof, {
+        torus = FlatModel((prof, prof), {
             (0, 0): "t00", (0, 1): "t01", (1, 0): "t10", (1, 1): "t11"})
-        circle = CircleModel(two_point_profile(s2, F(1, 2) + s2),
-                             _names_for(s2))
+        circle = FlatModel((two_point_profile(s2, F(1, 2) + s2),),
+                           _names_for(s2))
         upper = CriticalComponent("T", torus, F(1))
         lower = CriticalComponent("C", circle, F(0))
         ev_plus = rng.choice((projection_map(2, 0), projection_map(2, 1),
@@ -123,8 +124,8 @@ def test_random_correspondences_square_zero():
 def _names_for(min_pos):
     from fukaya_flow.morse import _mod1
     if _mod1(min_pos) < _mod1(min_pos + F(1, 2)):
-        return ("c_min", "c_max")
-    return ("c_max", "c_min")
+        return {(0,): "c_min", (1,): "c_max"}
+    return {(0,): "c_max", (1,): "c_min"}
 
 
 def test_triangle_product_local_table():
@@ -187,11 +188,10 @@ def test_point_component_over_circle():
     # an isolated critical point flowing onto a circle: the strip cell
     # is a single point evaluating at q, and the boundary picks up the
     # minimum whose stable arc contains q
-    from fukaya_flow.morse import PointModel
-    point = CriticalComponent("p*", PointModel("p", index=1), F(1))
+    point = CriticalComponent("p*", FlatModel((), {(): "p"}, index=1), F(1))
     circle = CriticalComponent(
-        "C", CircleModel(two_point_profile(F(1, 4), F(3, 4)),
-                         ("m", "M")), F(0))
+        "C", FlatModel((two_point_profile(F(1, 4), F(3, 4)),),
+                       {(0,): "m", (1,): "M"}), F(0))
     corr = Correspondence("p*", "C", 0,
                           AffineMap((), ()),
                           AffineMap(((),), (F(0),)))
@@ -204,6 +204,88 @@ def test_point_component_over_circle():
                           AffineMap(((),), (F(3, 4),)))
     with pytest.raises(errors.NonTransverse):
         differential_case_I(point, circle, corr)
+
+
+def _four_point_circle(start):
+    # minima at start and start + 1/2, a maximum a quarter turn after each
+    return CircleProfile(tuple((start + F(i, 4), i % 2) for i in range(4)))
+
+
+def test_multi_point_profiles():
+    # Morse homology does not depend on the number of critical points:
+    # a 4-point circle times a 2-point circle is still a torus
+    four = _four_point_circle(F(0))
+    torus = FlatModel((four, two_point_profile(F(1, 8), F(5, 8))),
+                      {(i, j): "t%d%d" % (i, j)
+                       for i in range(4) for j in range(2)})
+    circle = FlatModel((two_point_profile(F(1, 4), F(3, 4)),),
+                       {(0,): "c0", (1,): "c1"})
+    cx = differential_case_I(CriticalComponent("T", torus, F(1)),
+                             CriticalComponent("C", circle, F(0)), None)
+    # each maximum of the 4-point factor bounds two distinct minima
+    assert cx.boundary("t10") == ("t00", "t20")
+    assert cx.betti() == 6
+    assert cx.betti_by_degree() == (2, 3, 1)
+
+
+def test_square_torus_over_four_point_circle():
+    # stable cells of the 4-point circle's minima are arcs; the surviving
+    # classes match the 2-point standard upper pair
+    four = FlatModel((_four_point_circle(F(1, 8)),),
+                     {(i,): "c%d" % i for i in range(4)})
+    upper = CriticalComponent("T", square_torus("x", F(0)), F(1))
+    lower = CriticalComponent("C", four, F(0))
+    for coord, basis in ((0, {"x1", "x2"}), (1, {"x1'", "x2"})):
+        corr = Correspondence("T", "C", 2, identity_map(2),
+                              projection_map(2, coord))
+        cx = differential_case_I(upper, lower, corr)
+        assert set(cx.homology_basis()) == basis
+
+
+def test_flat_model_names_checked():
+    prof = two_point_profile(F(0), F(1, 2))
+    with pytest.raises(errors.UnsupportedModel, match="distinct"):
+        FlatModel((prof,), {(0,): "a", (1,): "a"})
+    with pytest.raises(errors.UnsupportedModel, match="grid"):
+        FlatModel((prof,), {(0,): "a"})
+    with pytest.raises(errors.UnsupportedModel):
+        FlatModel((prof,) * 3, {})
+
+
+def _point(name, action):
+    return CriticalComponent(name, FlatModel((), {(): name}), F(action))
+
+
+def test_cascade_moduli_chain_of_two_unsupported():
+    upper, lower, corr = standard_upper_pair()
+    below = Correspondence("K+", "p", 0, AffineMap(((),), (F(1, 2),)),
+                           AffineMap((), ()))
+    data = CascadeData((upper, lower, _point("p", -1)), (corr, below))
+    assert cascade_moduli(data, "x2", "p", 1) == []
+    with pytest.raises(errors.UnsupportedModel, match="chains of 2"):
+        cascade_moduli(data, "x2", "p", 2)
+    assert cascade_moduli(data, "x2", "p", 3) == []
+
+
+def test_cascade_moduli_negative_count():
+    upper, lower, corr = standard_upper_pair()
+    data = CascadeData((upper, lower), (corr,))
+    with pytest.raises(errors.NegativeCascadeCount, match="-1"):
+        cascade_moduli(data, "x2", "a0", -1)
+
+
+def test_cascade_moduli_walks_chains():
+    # 8 levels, 6 parallel correspondences per step: 42^7 tuples of
+    # correspondences, but the walk visits one set of ends per step
+    points = tuple(_point("p%d" % i, 7 - i) for i in range(8))
+    corrs = tuple(Correspondence("p%d" % i, "p%d" % (i + 1), 0,
+                                 AffineMap((), ()), AffineMap((), ()))
+                  for i in range(7) for _ in range(6))
+    data = CascadeData(points, corrs)
+    with pytest.raises(errors.UnsupportedModel, match="chains of 7"):
+        cascade_moduli(data, "p0", "p7", 7)
+    assert cascade_moduli(data, "p0", "p7", 6) == []
+    assert len(cascade_moduli(data, "p6", "p7", 1)) == 6
 
 
 # --- exact intersections ----------------------------------------------------
