@@ -56,8 +56,6 @@ def _add_link_input(sub: argparse.ArgumentParser, required: bool) -> None:
                      help="comma-separated integers, one per component")
     sub.add_argument("--allow-empty", action="store_true",
                      help="accept an empty PD code")
-    sub.add_argument("--no-fixtures", action="store_true",
-                     help="disable fixture-name resolution")
 
 
 def _int_list(flag: str, text: str, count: int | None = None
@@ -75,34 +73,28 @@ def _int_list(flag: str, text: str, count: int | None = None
     return values
 
 
-def _load_framed_link(args) -> links.FramedLink:
-    framings = None
-    if args.framings:
-        framings = _int_list("--framings", args.framings)
-    if args.fixture:
-        if args.no_fixtures:
-            raise FukayaFlowError("--fixture disabled by --no-fixtures")
-        return links.fixture(args.fixture, framings)
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def _load_link(args) -> tuple[links.LinkDiagram, tuple[int, ...]]:
+    """The diagram given by --pd, --file or --fixture, parsed and checked
+    by links.parse_pd, and its framings: --framings, one integer per
+    component, else the fixture's defaults or zeros."""
+    if args.fixture is not None:
+        fl = links.fixture(args.fixture)
+        diagram, framings = fl.diagram, fl.framings
     else:
-        text = args.pd
-    diagram = links.parse_pd(text, allow_empty=args.allow_empty)
-    if framings is None:
-        framings = tuple(0 for _ in range(diagram.component_count))
-    return links.FramedLink(diagram, framings)
-
-
-def _load_diagram(args) -> links.LinkDiagram:
-    if args.fixture:
-        if args.no_fixtures:
-            raise FukayaFlowError("--fixture disabled by --no-fixtures")
-        return links.fixture(args.fixture).diagram
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return links.parse_pd(fh.read(), allow_empty=args.allow_empty)
-    return links.parse_pd(args.pd, allow_empty=args.allow_empty)
+        if args.file is not None:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        elif args.pd is not None:
+            text = args.pd
+        else:
+            raise MalformedArgument("no link given: pass --pd, --file or "
+                                    "--fixture")
+        diagram = links.parse_pd(text, allow_empty=args.allow_empty)
+        framings = (0,) * diagram.component_count
+    if args.framings is not None:
+        framings = _int_list("--framings", args.framings,
+                             diagram.component_count)
+    return diagram, framings
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +102,7 @@ def _load_diagram(args) -> links.LinkDiagram:
 # --------------------------------------------------------------------------
 
 def cmd_parse_link(args) -> int:
-    diagram = _load_diagram(args)
+    diagram, _ = _load_link(args)
     if args.format == "json":
         _write_out(_envelope(diagram.to_json()), args.out)
     else:
@@ -123,7 +115,7 @@ def cmd_parse_link(args) -> int:
 
 
 def cmd_linking_matrix(args) -> int:
-    fl = _load_framed_link(args)
+    fl = links.FramedLink(*_load_link(args))
     matrix = links.linking_matrix(fl)
     if args.format == "json":
         _write_out(_envelope(matrix.to_json()), args.out)
@@ -135,7 +127,7 @@ def cmd_linking_matrix(args) -> int:
 
 
 def cmd_complement_homology(args) -> int:
-    fl = _load_framed_link(args)
+    fl = links.FramedLink(*_load_link(args))
     result = homology.complement_homology(links.linking_matrix(fl))
     if args.format == "json":
         _write_out(_envelope(result.to_json()), args.out)
@@ -145,7 +137,7 @@ def cmd_complement_homology(args) -> int:
 
 
 def _category_command(args, builder) -> int:
-    fl = _load_framed_link(args)
+    fl = links.FramedLink(*_load_link(args))
     cat = builder(fl)
     if args.format == "dot":
         _write_out(cat.to_dot(), args.out)
@@ -163,7 +155,7 @@ def cmd_fukaya_category(args) -> int:
 
 
 def cmd_verify_theorem_b(args) -> int:
-    fl = _load_framed_link(args)
+    fl = links.FramedLink(*_load_link(args))
     report = fukaya.verify_theorem_b(fl)
     _write_out(_envelope(report.to_json()), args.out)
     if not report.isomorphic:
@@ -197,7 +189,7 @@ def cmd_morse_bott(args) -> int:
             _write_out("\n".join(lines) + "\n", args.out)
         return 0
     # handles
-    fl = _load_framed_link(args)
+    fl = links.FramedLink(*_load_link(args))
     complex_ = morse.handle_complex_from_link(fl)
     betti = complex_.betti_by_degree()
     if args.format == "json":
@@ -446,17 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "morse-bott" and args.mode == "handles" \
-            and not (args.pd or args.file or args.fixture):
-        parser.error("morse-bott handles needs --pd, --file, or --fixture")
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FukayaFlowError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (FukayaFlowError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -23,6 +23,13 @@ class InconsistentOrientation(FukayaFlowError):
     """No consistent strand orientation exists for the diagram."""
 
 
+class NonPlanarPD(FukayaFlowError):
+    """A connected piece of a PD code fails the Euler check V - E + F = 2,
+    so the code describes no diagram in the plane.  links.parse_pd
+    raises it, naming the piece's smallest crossing, for every link
+    input."""
+
+
 class SameComponent(FukayaFlowError):
     """Linking number of a component with itself was requested."""
 
@@ -38,7 +45,8 @@ class UnknownFixture(FukayaFlowError, KeyError):
 # --- presentations ---
 
 class DuplicateGeneratorName(FukayaFlowError):
-    """Two generators of one presentation share a name."""
+    """Two generators of one presentation or cascade complex share a
+    name."""
 
 
 # --- Morse-Bott machinery ---
@@ -54,10 +62,6 @@ class DifferentialNotSquareZero(FukayaFlowError):
     """The differential of a claimed chain complex does not square to zero."""
 
 
-class NonPlanarPD(FukayaFlowError):
-    """A connected piece of a PD code fails the Euler check V - E + F = 2."""
-
-
 class UnsupportedModel(FukayaFlowError):
     """Morse-Bott data outside the modelled range: a flat model with more
     than two circle factors or names that miss the point grid or repeat,
@@ -67,6 +71,10 @@ class UnsupportedModel(FukayaFlowError):
 
 class ActionOrderViolation(FukayaFlowError):
     """A correspondence does not strictly decrease the action level."""
+
+
+class UnknownComponent(FukayaFlowError):
+    """A correspondence names a critical component that is not given."""
 
 
 class UnknownGenerator(FukayaFlowError):

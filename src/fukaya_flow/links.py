@@ -11,19 +11,32 @@ The grammar also accepts O(a) tokens for crossingless circle
 components (a is a fresh arc label), which plain quadruples cannot
 express; these are needed for round unknots and split unlinks.
 
+parse_pd is the one place a PD code enters the program, and it accepts
+only a code that describes a link diagram in the plane.  In order, it
+rejects: a token that is not X(a,b,c,d) or O(a) over positive labels,
+or an empty code unless allow_empty (MalformedToken); a circle label
+used twice or on a crossing, or a crossing label that does not occur
+exactly twice (ArcLabelNotPairedTwice); a code whose strands cannot be
+oriented (InconsistentOrientation); and a connected piece whose face
+count is not that of a planar 4-valent graph (NonPlanarPD, naming its
+smallest crossing).  The pairing, orientation and planarity checks all
+read one arc -> (crossing, position) dart table built per parse.
+
 All values are immutable after construction and every operation is a
 pure function.
 
 Cost: a diagram computes its arc -> component map and a per-crossing
 (under, over) component table once, on first use, and every consumer
 (crossing_components, linking_number, self_writhe, linking_matrix)
-reads that table.  Parsing is linear in the number n of crossings, and
+reads that table.  Parsing is linear in the number n of crossings (the
+planarity check is a union-find and one walk over the 4n darts), and
 the linking matrix of a k-component diagram is one pass over the
 crossings, O(n + k^2).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from collections import Counter
@@ -33,7 +46,8 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import (ArcLabelNotPairedTwice, InconsistentOrientation,
-                     MalformedToken, SameComponent, UnknownFixture)
+                     MalformedToken, NonPlanarPD, SameComponent,
+                     UnknownFixture)
 
 _TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)"
                     r"|O\(\s*(\d+)\s*\)")
@@ -103,11 +117,6 @@ class FramedLink:
                 "got %d framings for %d components"
                 % (len(self.framings), k))
 
-    def to_json(self) -> dict:
-        d = self.diagram.to_json()
-        d["framings"] = list(self.framings)
-        return d
-
 
 @dataclass(frozen=True)
 class LinkingMatrix:
@@ -176,8 +185,25 @@ def _tokenize(text: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
     return quadruples, circles
 
 
-def _resolve_orientations(
-        quadruples: list[tuple[int, int, int, int]]) -> list[bool]:
+_Darts = dict[int, list[tuple[int, int]]]
+
+
+def _dart_table(quadruples: list[tuple[int, int, int, int]]) -> _Darts:
+    """arc -> its two ends (crossing, position); raises
+    ArcLabelNotPairedTwice unless every label occurs exactly twice."""
+    ends: _Darts = {}
+    for ci, quad in enumerate(quadruples):
+        for p, arc in enumerate(quad):
+            ends.setdefault(arc, []).append((ci, p))
+    for arc, occ in ends.items():
+        if len(occ) != 2:
+            raise ArcLabelNotPairedTwice(
+                "arc %d occurs %d times" % (arc, len(occ)))
+    return ends
+
+
+def _resolve_orientations(quadruples: list[tuple[int, int, int, int]],
+                          ends: _Darts) -> list[bool]:
     """Decide, per crossing, whether the over-strand runs d -> b.
 
     Position 0 is always an arc head (the arc ends there) and position 2
@@ -186,15 +212,6 @@ def _resolve_orientations(
     components that only ever cross over, which get a deterministic
     free choice.
     """
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for ci, quad in enumerate(quadruples):
-        for p, arc in enumerate(quad):
-            ends.setdefault(arc, []).append((ci, p))
-    for arc, occ in ends.items():
-        if len(occ) != 2:
-            raise ArcLabelNotPairedTwice(
-                "arc %d occurs %d times" % (arc, len(occ)))
-
     # over_head[c] is 1 or 3: the over position where an arc comes in.
     over_head: dict[int, int] = {}
     # role of an endpoint: True = head (arc ends), False = tail.
@@ -255,6 +272,48 @@ def _resolve_orientations(
     return [over_head[ci] == 3 for ci in range(len(quadruples))]
 
 
+def _check_planar(quadruples: list[tuple[int, int, int, int]],
+                  ends: _Darts) -> None:
+    """Raise NonPlanarPD unless each connected piece of the diagram, with
+    V crossings and E = 2V arcs, has the E - V + 2 faces of a planar
+    4-valent graph.
+
+    A dart (ci, p) is an arrival at crossing ci along the arc in
+    position p; a face walk turns counter-clockwise and leaves via the
+    arc at position p + 1.  The error names the smallest crossing
+    (1-based) of a piece that fails.
+    """
+    parent = list(range(len(quadruples)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (a, _), (b, _) in ends.values():
+        parent[find(a)] = find(b)
+    roots = [find(ci) for ci in range(len(quadruples))]
+    sizes = Counter(roots)
+    faces: Counter = Counter()
+    seen: set[tuple[int, int]] = set()
+    for dart in itertools.product(range(len(quadruples)), range(4)):
+        if dart in seen:
+            continue
+        faces[roots[dart[0]]] += 1
+        while dart not in seen:
+            seen.add(dart)
+            ci, q = dart[0], (dart[1] + 1) % 4
+            a, b = ends[quadruples[ci][q]]
+            dart = b if a == (ci, q) else a
+    for ci, root in enumerate(roots):
+        if faces[root] != sizes[root] + 2:
+            raise NonPlanarPD(
+                "crossing %d: its piece of %d crossings has %d faces, "
+                "expected %d; the PD code is not planar"
+                % (ci + 1, sizes[root], faces[root], sizes[root] + 2))
+
+
 def _trace_components(quadruples, circles, over_to_b) -> tuple[tuple[int, ...], ...]:
     successor: dict[int, int] = {}
     for ci, (a, b, c, d) in enumerate(quadruples):
@@ -286,7 +345,8 @@ def _trace_components(quadruples, circles, over_to_b) -> tuple[tuple[int, ...], 
 
 
 def parse_pd(text: str, allow_empty: bool = False) -> LinkDiagram:
-    """Parse a PD-code string into a validated, oriented diagram."""
+    """Parse a PD-code string into a validated, oriented, planar
+    diagram; the module docstring lists what is rejected."""
     quadruples, circles = _tokenize(text)
     if not quadruples and not circles:
         if allow_empty:
@@ -298,7 +358,9 @@ def parse_pd(text: str, allow_empty: bool = False) -> LinkDiagram:
         if circle_counts[arc] > 1 or arc in crossing_arcs:
             raise ArcLabelNotPairedTwice(
                 "circle arc %d reused elsewhere" % arc)
-    over_to_b = _resolve_orientations(quadruples)
+    ends = _dart_table(quadruples)
+    over_to_b = _resolve_orientations(quadruples, ends)
+    _check_planar(quadruples, ends)
     components = _trace_components(quadruples, circles, over_to_b)
     signs = tuple(1 if o else -1 for o in over_to_b)
     # store quadruples as given; the under direction a -> c already
@@ -381,18 +443,6 @@ def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
     signs = tuple(1 if o else -1 for o in new_over)
     return LinkDiagram(tuple(new_quads), diagram.circles, components,
                        tuple(new_over), signs)
-
-
-def diagram_from_json(data: dict) -> LinkDiagram:
-    quads = [tuple(q) for q in data["crossings"]]
-    circles = list(data.get("circles", ()))
-    parts = ["X(%d,%d,%d,%d)" % q for q in quads]
-    parts += ["O(%d)" % a for a in circles]
-    return parse_pd(",".join(parts), allow_empty=True)
-
-
-def framed_link_from_json(data: dict) -> FramedLink:
-    return FramedLink(diagram_from_json(data), tuple(data["framings"]))
 
 
 # --- fixture catalog ----------------------------------------------------

@@ -6,10 +6,11 @@ two circle Morse functions.  All coordinates are rational, unstable and
 stable sets are axis-aligned product cells, and every intersection of
 cells pulled back along evaluation maps is decided exactly by one
 rational eliminator (RationalReducer) and a search over D^r lattice
-translates (see intersect_cell_groups).  NonTransverse is
-raised only for a rank-deficient overlap that is consistent and for a
-point on a cell boundary or at a deleted marked point; an inconsistent
-overlap is empty.  No floating point enters this module.
+translates (see intersect_cell_groups).  Every cell factor is a point
+or an open arc; the circle minus one point is the arc of length 1.
+NonTransverse is raised only for a rank-deficient overlap that is
+consistent and for a point on a cell boundary; an inconsistent overlap
+is empty.  No floating point enters this module.
 
 A correspondence packages the strip moduli between two components: a
 product cell (R/Z)^m with two affine evaluation maps into the source
@@ -22,9 +23,11 @@ handle_complex_from_link builds the Z/2 cellular complex of a framed
 link complement from the abelianised Wirtinger presentation of its
 diagram: one torus of classes per component, a 1-cell per over-arc, a
 2-cell per over-arc end, a meridian and a longitude 2-cell per
-component, and 3-cells capping the tori.  Its homology is right at
-class level: z1^j is the framed longitude, f_j z1'^j plus the meridians
-z1'^i of the components it links oddly, and the z2^j sum to zero.
+component, and 3-cells capping the tori.  It reads a planar diagram;
+links.parse_pd, where every PD code enters, rejects any other.  Its
+homology is right at class level: z1^j is the framed longitude, f_j
+z1'^j plus the meridians z1'^i of the components it links oddly, and
+the z2^j sum to zero.
 tests/test_morse.py::test_handle_complex_matches_oracle checks these
 classes on the framed catalog and on generated braid closures.
 """
@@ -33,16 +36,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import f2
 from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
-                     NegativeCascadeCount, NonPlanarPD, NonTransverse,
-                     UnknownGenerator, UnsupportedModel)
-from .links import FramedLink, LinkDiagram
+                     DuplicateGeneratorName, NegativeCascadeCount,
+                     NonTransverse, UnknownComponent, UnknownGenerator,
+                     UnsupportedModel)
+from .links import FramedLink
 
 Frac = Fraction
 
@@ -86,14 +89,12 @@ class CircleProfile:
     def cell(self, i: int, stable: bool):
         """The stable (else unstable) cell of point i: the point itself
         at a maximum (else minimum), otherwise the open arc between its
-        neighbors, or the circle minus the other point if there are
-        two."""
+        neighbors, which is the circle minus the other point, an arc of
+        length 1, if there are two."""
         pos, idx = self.points[i]
         if idx == stable:
             return ("pt", pos)
         left, right = self.neighbors(i)
-        if len(self.points) == 2:
-            return ("copt", self.points[left][0])
         a = self.points[left][0]
         b = self.points[right][0]
         return ("arc", a, _mod1(b - a) if b != a else Frac(1))
@@ -316,9 +317,7 @@ def _constraints(ev: AffineMap, cell) -> tuple[list, list]:
         if kind == "pt":
             eqs.append((row, _mod1(coord_cell[1] - off)))
         elif kind == "arc":
-            opens.append((row, off, "arc", coord_cell[1], coord_cell[2]))
-        elif kind == "copt":
-            opens.append((row, off, "copt", coord_cell[1]))
+            opens.append((row, off, coord_cell[1], coord_cell[2]))
         else:
             raise UnsupportedModel("unknown cell kind %r" % (kind,))
     return eqs, opens
@@ -339,6 +338,9 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
                           ) -> IntersectionDescription:
     """Exact description of the mutual intersection of pulled-back open
     cells on (R/Z)^m, one (equations, open conditions) pair per cell.
+    An equation (row, rhs) asks row.w = rhs mod 1; an open condition
+    (row, off, start, length) asks row.w + off - start mod 1 to lie
+    strictly between 0 and length.
 
     One RationalReducer pass over all equations row.w = rhs (mod 1)
     finds the r independent rows A, each dependent row's exact
@@ -395,23 +397,15 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
     survivors = []
     for w in sorted(candidates):
         ok = True
-        for op in opens:
-            row, off = op[0], op[1]
-            val = _mod1(sum(a * x for a, x in zip(row, w)) + off)
-            if op[2] == "arc":
-                t = _mod1(val - op[3])
-                if t == 0 or t == op[4]:
-                    raise NonTransverse(
-                        "intersection point on a cell boundary; "
-                        "perturb marked points")
-                if not (0 < t < op[4]):
-                    ok = False
-                    break
-            else:  # copt
-                if val == op[3]:
-                    raise NonTransverse(
-                        "intersection point at a deleted marked point; "
-                        "perturb marked points")
+        for row, off, start, length in opens:
+            t = _mod1(sum(a * x for a, x in zip(row, w)) + off - start)
+            if t == 0 or t == length:
+                raise NonTransverse(
+                    "intersection point on a cell boundary; "
+                    "perturb marked points")
+            if not (0 < t < length):
+                ok = False
+                break
         if ok:
             survivors.append(w)
     return IntersectionDescription(dim=0, points=tuple(survivors),
@@ -446,6 +440,12 @@ class CascadeComplex:
 
     def __post_init__(self):
         index = {g: i for i, g in enumerate(self.generators)}
+        if len(index) != len(self.generators):
+            # index keeps a name's last position
+            repeated = next(g for g, i in index.items()
+                            if self.generators.index(g) != i)
+            raise DuplicateGeneratorName(
+                "generator %s occurs more than once" % repeated)
         cols = []
         for g in self.generators:
             v = 0
@@ -653,17 +653,17 @@ class CascadeData:
     components: tuple[CriticalComponent, ...]
     correspondences: tuple[Correspondence, ...]
 
-    def component(self, name: str) -> CriticalComponent:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def __post_init__(self):
+        action = {c.name: c.action for c in self.components}
         for corr in self.correspondences:
-            src = self.component(corr.source)
-            tgt = self.component(corr.target)
-            if not src.action > tgt.action:
+            missing = [n for n in (corr.source, corr.target)
+                       if n not in action]
+            if missing:
+                raise UnknownComponent(
+                    "correspondence %s -> %s: no component named %s"
+                    % (corr.source, corr.target,
+                       ", ".join(map(repr, missing))))
+            if not action[corr.source] > action[corr.target]:
                 raise ActionOrderViolation(
                     "correspondence %s -> %s does not decrease the action"
                     % (corr.source, corr.target))
@@ -733,52 +733,6 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
 # handle decomposition of a link complement
 # --------------------------------------------------------------------------
 
-def _check_planar(diagram: LinkDiagram) -> None:
-    """Raise NonPlanarPD unless each connected piece of the diagram, with
-    V crossings and E = 2V arcs, has the E - V + 2 faces of a planar
-    4-valent graph.
-
-    A dart (ci, p) is an arrival at crossing ci along the arc in
-    position p; a face walk turns counter-clockwise and leaves via the
-    arc at position p + 1.  The error names the smallest crossing
-    (1-based) of a piece that fails.
-    """
-    quads = diagram.crossings
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for ci, quad in enumerate(quads):
-        for p, arc in enumerate(quad):
-            ends.setdefault(arc, []).append((ci, p))
-    parent = list(range(len(quads)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (a, _), (b, _) in ends.values():
-        parent[find(a)] = find(b)
-    roots = [find(ci) for ci in range(len(quads))]
-    sizes = Counter(roots)
-    faces: Counter = Counter()
-    seen: set[tuple[int, int]] = set()
-    for dart in itertools.product(range(len(quads)), range(4)):
-        if dart in seen:
-            continue
-        faces[roots[dart[0]]] += 1
-        while dart not in seen:
-            seen.add(dart)
-            ci, q = dart[0], (dart[1] + 1) % 4
-            a, b = ends[quads[ci][q]]
-            dart = b if a == (ci, q) else a
-    for ci, root in enumerate(roots):
-        if faces[root] != sizes[root] + 2:
-            raise NonPlanarPD(
-                "crossing %d: its piece of %d crossings has %d faces, "
-                "expected %d; the PD code is not planar"
-                % (ci + 1, sizes[root], faces[root], sizes[root] + 2))
-
-
 def handle_complex_from_link(fl: FramedLink) -> CascadeComplex:
     """Z/2 cellular chain complex of the complement of a framed link,
     read off the abelianised Wirtinger presentation of its diagram.
@@ -798,11 +752,11 @@ def handle_complex_from_link(fl: FramedLink) -> CascadeComplex:
     H1 has basis z1'^1..z1'^k with z1^j = f_j z1'^j + sum over i != j
     of lk_ij z1'^i; H2 is spanned by the z2^j with the one relation
     sum z2^j = 0; H3 = 0.  tests/test_morse.py checks these classes on
-    the framed catalog and on generated braid closures.  Raises
-    NonPlanarPD for a PD code that is not planar.
+    the framed catalog and on generated braid closures.  The diagram
+    must be planar, as every diagram links.parse_pd returns is: a
+    non-planar PD code describes no link.
     """
     diagram = fl.diagram
-    _check_planar(diagram)
     k = diagram.component_count
 
     gens: list[str] = []

@@ -80,12 +80,6 @@ def test_unknown_fixture_exit_2(capsys):
     assert err.startswith("error: unknown fixture 'nope'")
 
 
-def test_no_fixtures_flag(capsys):
-    code, _, err = run(capsys, "linking-matrix", "--fixture", "hopf",
-                       "--no-fixtures")
-    assert code == 2
-
-
 def test_morse_bott_case_one(capsys):
     code, out, _ = run(capsys, "morse-bott", "case-I", "--pair", "lower")
     assert code == 0
@@ -257,6 +251,30 @@ def test_bad_flag_values_name_the_flag(argv, flag):
     proc = _python("-m", "fukaya_flow.cli", *argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: " + flag)
+    assert "Traceback" not in proc.stderr
+
+
+NONPLANAR = "X(1,3,2,4),X(2,4,3,1)"
+
+LINK_SUBCOMMANDS = (("parse-link",), ("linking-matrix",),
+                    ("complement-homology",), ("flow-category",),
+                    ("fukaya-category",), ("verify-theorem-b",),
+                    ("morse-bott", "handles"))
+
+
+@pytest.mark.parametrize("argv,names", [
+    *((command + ("--pd", NONPLANAR), "crossing 1")
+      for command in LINK_SUBCOMMANDS),
+    (("parse-link", "--fixture", "hopf", "--framings", "1,x"), "--framings"),
+    (("parse-link", "--fixture", "hopf", "--framings", "1,2,3"),
+     "--framings"),
+    (("morse-bott", "handles"), "--pd"),
+])
+def test_bad_link_input_exits_2(argv, names):
+    proc = _python("-m", "fukaya_flow.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert names in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

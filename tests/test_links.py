@@ -56,6 +56,15 @@ def test_inconsistent_orientation():
         parse_pd("X(1,2,3,4),X(1,3,2,4)")
 
 
+def test_nonplanar_pd_rejected():
+    with pytest.raises(errors.NonPlanarPD, match="crossing 1: .* 2 faces, "
+                                                 "expected 4"):
+        parse_pd("X(1,3,2,4),X(2,4,3,1)")
+    # the same piece after a planar Hopf piece: its smallest crossing
+    with pytest.raises(errors.NonPlanarPD, match="crossing 3: "):
+        parse_pd("X(1,3,2,4),X(3,1,4,2),X(5,7,6,8),X(6,8,7,5)")
+
+
 def test_circle_components():
     d = parse_pd("O(1),O(2)")
     assert d.components == ((1,), (2,))
@@ -145,13 +154,6 @@ def test_roundtrip_through_pd_text():
         d = fixture(name).diagram
         again = parse_pd(d.to_pd_text())
         assert again == d
-
-
-def test_roundtrip_through_json():
-    for name in fixture_names():
-        fl = fixture(name)
-        again = links.framed_link_from_json(fl.to_json())
-        assert again == fl
 
 
 def test_trefoil_writhe():
@@ -327,3 +329,41 @@ def test_full_twist_64_strands(sign):
     m = linking_matrix(FramedLink(d, (0,) * 64)).entries
     assert all(m[i][j] == (0 if i == j else sign)
                for i in range(64) for j in range(64))
+
+
+# --- every PD code is accepted or rejected with a package error ----------
+
+@st.composite
+def paired_label_codes(draw):
+    """Crossings whose arc labels each occur exactly twice, in random
+    positions, and some crossingless circles."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.permutations([a for a in range(1, 2 * n + 1)
+                                   for _ in range(2)]))
+    parts = ["X(%d,%d,%d,%d)" % tuple(labels[i:i + 4])
+             for i in range(0, 4 * n, 4)]
+    parts += ["O(%d)" % (2 * n + c)
+              for c in range(1, draw(st.integers(0, 2)) + 1)]
+    return ",".join(draw(st.permutations(parts)))
+
+
+@st.composite
+def mutated_catalog_codes(draw):
+    """A catalog PD code with some of its digits replaced."""
+    text = list(draw(st.sampled_from(
+        [pd for pd, _ in links.load_catalog().values()])))
+    digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+    for i in draw(st.lists(st.sampled_from(digits), min_size=1,
+                           max_size=3)):
+        text[i] = draw(st.sampled_from("0123456789"))
+    return "".join(text)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(paired_label_codes(), mutated_catalog_codes()))
+def test_parse_pd_accepts_or_raises_package_error(text):
+    try:
+        d = parse_pd(text)
+    except errors.FukayaFlowError:
+        return
+    assert parse_pd(d.to_pd_text()) == d

@@ -288,6 +288,31 @@ def test_cascade_moduli_walks_chains():
     assert len(cascade_moduli(data, "p6", "p7", 1)) == 6
 
 
+def test_cascade_data_names_missing_component():
+    upper, lower, _ = standard_upper_pair()
+    corr = Correspondence("Sigma42", "nope", 2, identity_map(2),
+                          projection_map(2, 0))
+    with pytest.raises(errors.UnknownComponent,
+                       match="Sigma42 -> nope: no component named 'nope'"):
+        CascadeData((upper, lower), (corr,))
+
+
+def test_repeated_generator_names_rejected():
+    upper, _, _ = standard_upper_pair()
+    twin = CriticalComponent("T2", square_torus("x", F(1, 8)), F(0))
+    with pytest.raises(errors.DuplicateGeneratorName, match="x0 occurs"):
+        differential_case_I(upper, twin, None)
+    with pytest.raises(errors.DuplicateGeneratorName, match="g occurs"):
+        CascadeComplex(("g", "h", "g"), {})
+
+
+def test_two_point_circle_cell_is_arc_of_length_one():
+    # the unstable cell of the maximum is the circle minus the minimum
+    prof = two_point_profile(F(1, 4), F(3, 4))
+    assert prof.cell(1, False) == ("arc", F(1, 4), F(1))
+    assert prof.cell(0, True) == ("arc", F(3, 4), F(1))
+
+
 # --- exact intersections ----------------------------------------------------
 
 
@@ -378,10 +403,11 @@ def _random_flat_system(rng, m):
         for _ in range(rng.randint(0, 2)):
             if rng.random() < 0.5:
                 d = rng.choice(dens)
-                opens.append((row(), frac(), "arc", frac(),
+                opens.append((row(), frac(), frac(),
                               F(rng.randint(1, d), d)))
             else:
-                opens.append((row(), frac(), "copt", frac()))
+                # the circle minus one point
+                opens.append((row(), frac(), frac(), F(1)))
         groups.append((eqs, opens))
     return groups
 
@@ -405,14 +431,10 @@ def test_intersection_points_satisfy_every_condition():
                 for row, rhs in eqs:
                     assert (sum(a * x for a, x in zip(row, w)) - rhs
                             ).denominator == 1
-                for row, off, kind, *cell in opens:
+                for row, off, start, length in opens:
                     val = morse._mod1(sum(a * x for a, x in zip(row, w))
                                       + off)
-                    if kind == "arc":
-                        start, length = cell
-                        assert 0 < morse._mod1(val - start) < length
-                    else:
-                        assert val != cell[0]
+                    assert 0 < morse._mod1(val - start) < length
     assert found > 500
 
 
@@ -580,17 +602,6 @@ def test_handle_complex_mixed_split_diagram():
     fl = FramedLink(diagram, (1, 0, -1, 2))
     assert handle_complex_from_link(fl).betti_by_degree() == (1, 4, 3, 0)
     _assert_classes(fl)
-
-
-def test_nonplanar_pd_rejected():
-    diagram = parse_pd("X(1,3,2,4),X(2,4,3,1)")
-    with pytest.raises(errors.NonPlanarPD, match="crossing 1: .* 2 faces, "
-                                                 "expected 4"):
-        handle_complex_from_link(FramedLink(diagram, (0,)))
-    # the same piece after a planar Hopf piece: its smallest crossing
-    diagram = parse_pd("X(1,3,2,4),X(3,1,4,2),X(5,7,6,8),X(6,8,7,5)")
-    with pytest.raises(errors.NonPlanarPD, match="crossing 3: "):
-        handle_complex_from_link(FramedLink(diagram, (0, 0, 0)))
 
 
 def test_handle_complex_json():
