@@ -54,7 +54,9 @@ class DuplicateGeneratorName(FukayaFlowError):
 class NonTransverse(FukayaFlowError):
     """A required intersection is not transverse in the flat model.
 
-    Caller must perturb the marked points.
+    The message names the overlapping cell groups, or the point and the
+    open condition whose boundary it meets.  Caller must perturb the
+    marked points.
     """
 
 
@@ -78,7 +80,8 @@ class UnknownComponent(FukayaFlowError):
 
 
 class UnknownGenerator(FukayaFlowError):
-    """A generator name belongs to no critical component."""
+    """A generator name belongs to no critical component or cascade
+    complex, or a complex's generator has no degree."""
 
 
 class NegativeCascadeCount(FukayaFlowError):
@@ -120,7 +123,10 @@ class ShapeMismatch(FukayaFlowError):
 
 
 class DimensionTooLarge(FukayaFlowError):
-    """Exhaustive isomorphism search is capped at dimension 3 per vertex."""
+    """A search exceeds its named bound: quiver.isomorphic walks at most
+    2^HOM_DIM_BOUND elements of Hom(rep1, rep2), and the message names
+    dim Hom and the bound; quiver._gl, the oracle's group enumeration,
+    is capped at dimension 3."""
 
 
 # --- command line ---

@@ -353,15 +353,16 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
     The cells overlap rank-deficiently (the rank of all equations is
     below the sum of the cells' ranks) exactly when a dependent row's
     combination uses another cell's rows.  Such an overlap raises
-    NonTransverse if some translate satisfies every equation, and is
-    empty otherwise.  Dependent rows within single cells are checked the
+    NonTransverse, naming the cell groups whose rows the dependencies
+    combine, if some translate satisfies every equation, and is empty
+    otherwise.  Dependent rows within single cells are checked the
     same way at every rank: below rank m the intersection has dimension
     m - r when some translate satisfies them and is empty otherwise.  A
-    finite candidate set also raises NonTransverse when a candidate point
-    meets a cell boundary."""
+    finite candidate set also raises NonTransverse, naming the point and
+    the open condition, when a candidate point meets a cell boundary."""
     red = RationalReducer()
     rhs, owner, independent, dependent = [], [], [], []
-    overlap = False
+    overlap: set[int] = set()  # the cell groups of cross-cell dependencies
     for g, (eqs, _) in enumerate(groups):
         for row, b in eqs:
             residual, combo = red.add(row)
@@ -369,10 +370,13 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
                 independent.append(len(rhs))
             else:
                 dependent.append((combo, b))
-                overlap = overlap or any(owner[i] != g for i in combo)
+                used = {owner[i] for i in combo} | {g}
+                if len(used) > 1:
+                    overlap |= used
             rhs.append(b)
             owner.append(g)
-    opens = [op for _, group_opens in groups for op in group_opens]
+    opens = [(g, op) for g, (_, group_opens) in enumerate(groups)
+             for op in group_opens]
     r = red.rank
     if r < m and not dependent:
         return IntersectionDescription(dim=m - r)
@@ -386,7 +390,8 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
         if all(_mod1(_at(combo, target) - b) == 0 for combo, b in dependent):
             if overlap:
                 raise NonTransverse(
-                    "rank-deficient cell overlap; perturb marked points")
+                    "rank-deficient overlap of cell groups %s; perturb "
+                    "marked points" % ", ".join(map(str, sorted(overlap))))
             if r < m:
                 return IntersectionDescription(dim=m - r)
             candidates.add(tuple(_mod1(_at(combo, target))
@@ -397,12 +402,14 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
     survivors = []
     for w in sorted(candidates):
         ok = True
-        for row, off, start, length in opens:
+        for g, (row, off, start, length) in opens:
             t = _mod1(sum(a * x for a, x in zip(row, w)) + off - start)
             if t == 0 or t == length:
                 raise NonTransverse(
-                    "intersection point on a cell boundary; "
-                    "perturb marked points")
+                    "intersection point %s lies on the boundary of cell "
+                    "group %d's open condition 0 < %s.w + %s - %s < %s "
+                    "mod 1; perturb marked points"
+                    % (_show(w), g, _show(row), off, start, length))
             if not (0 < t < length):
                 ok = False
                 break
@@ -410,6 +417,11 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
             survivors.append(w)
     return IntersectionDescription(dim=0, points=tuple(survivors),
                                    empty=not survivors)
+
+
+def _show(v) -> str:
+    """A vector of exact numbers as (1/2, 0, ...)."""
+    return "(%s)" % ", ".join(map(str, v))
 
 
 def _at(combo: dict[int, Frac], target: dict[int, Frac]) -> Frac:
@@ -446,11 +458,19 @@ class CascadeComplex:
                             if self.generators.index(g) != i)
             raise DuplicateGeneratorName(
                 "generator %s occurs more than once" % repeated)
+        unknown = sorted(self.differential.keys() - index.keys())
+        if unknown:
+            raise UnknownGenerator(
+                "differential given on %s, not a generator" % unknown[0])
         cols = []
         for g in self.generators:
             v = 0
             for h in self.differential.get(g, ()):
-                v ^= 1 << index[h]
+                i = index.get(h)
+                if i is None:
+                    raise UnknownGenerator(
+                        "d %s names %s, not a generator" % (g, h))
+                v ^= 1 << i
             cols.append(v)
         sq = []
         for g, col in zip(self.generators, cols):
@@ -499,6 +519,9 @@ class CascadeComplex:
         the stored degree by exactly one."""
         if not self.degrees:
             raise ValueError("complex carries no degrees")
+        missing = [g for g in self.generators if g not in self.degrees]
+        if missing:
+            raise UnknownGenerator("generator %s has no degree" % missing[0])
         for g in self.generators:
             for h in self.differential.get(g, ()):
                 if self.degrees[h] != self.degrees[g] - 1:

@@ -10,11 +10,18 @@ Matrices are tuples of row bitmasks, as in f2: bit j of row i is the
 entry in column j, a product is a sum of rows and inverses come from
 the f2 eliminator's row combinations.
 
-Representations are checked exactly; isomorphism between small
-representations is decided by exhaustive search over invertible
-vertex-wise matrices, capped at dimension three per vertex
-(|GL(3, F2)| = 168, so the products stay tractable).  Larger dimensions
-raise DimensionTooLarge rather than fall back to an unsound heuristic.
+Representations are checked exactly.  Isomorphism is decided through
+the Hom space, after Brooksbank-Luks, "Testing isomorphism of modules",
+J. Algebra 320 (2008): the vertex maps with g_t A1 = A2 g_s for every
+arrow form Hom(rep1, rep2), one F2 kernel over the sum of d_v^2 matrix
+entries.  Unequal dimension vectors, or dim Hom(rep1, rep2) unequal to
+dim End(rep1), reject at once; otherwise a Gray-code walk over Hom
+looks for an element invertible at every vertex.  The walk is bounded
+by HOM_DIM_BOUND on dim Hom, not by the vertex dimensions, and a larger
+Hom raises DimensionTooLarge rather than fall back to an unsound
+heuristic.  orbit() and _gl(), which enumerate the products of
+GL(d_v, F2) up to dimension three, are kept only as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ from .flow import DirectedCategoryPresentation
 
 Path = tuple[str, ...]
 Matrix = tuple[int, ...]  # row bitmasks
+
+# isomorphic walks up to 2^HOM_DIM_BOUND elements of Hom(rep1, rep2); a
+# full walk at the bound costs 65536 rank tests, a fraction of a second
+HOM_DIM_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,9 @@ def _inverse(g: Matrix) -> Matrix:
 
 
 def _check_shapes(q: QuiverPresentation, rep: QuiverRepresentation) -> None:
+    for v in q.vertices:
+        if v not in rep.dims:
+            raise ShapeMismatch("no dimension for vertex %r" % v)
     for name, s, t in q.arrows:
         if name not in rep.matrices:
             raise ShapeMismatch("no matrix for arrow %r" % name)
@@ -155,7 +169,8 @@ def check_relations(q: QuiverPresentation, rep: QuiverRepresentation
 def _gl(n: int) -> list[Matrix]:
     if n > 3:
         raise DimensionTooLarge(
-            "exhaustive search is capped at dimension 3, got %d" % n)
+            "the oracle's GL(n, F2) enumeration is capped at dimension 3, "
+            "got %d" % n)
     return [g for g in itertools.product(range(1 << n), repeat=n)
             if f2.rank(g) == n]
 
@@ -171,26 +186,77 @@ def transform(q: QuiverPresentation, rep: QuiverRepresentation,
     return QuiverRepresentation(dict(rep.dims), new)
 
 
+def _offsets(q: QuiverPresentation, dims: Mapping[str, int]
+            ) -> dict[str, int]:
+    """The offset of each vertex map's entries among all of them: entry
+    (i, j) of g_v is unknown offset[v] + i d_v + j, so a mask over the
+    unknowns holds g_v's rows as consecutive d_v-bit fields."""
+    offset, at = {}, 0
+    for v in q.vertices:
+        offset[v] = at
+        at += dims[v] ** 2
+    return offset
+
+
+def _hom_basis(q: QuiverPresentation, rep1: QuiverRepresentation,
+               rep2: QuiverRepresentation) -> list[int]:
+    """A basis of Hom(rep1, rep2), dims assumed equal, as masks over the
+    vertex-map entries: the kernel of the map sending them to the arrow
+    entries of g_t A1 + A2 g_s."""
+    offset = _offsets(q, rep1.dims)
+    columns = [0] * sum(rep1.dims[v] ** 2 for v in q.vertices)
+    base = 0  # entry (i, j) of an arrow's equations is bit base + i d_s + j
+    for name, s, t in q.arrows:
+        ds, dt = rep1.dims[s], rep1.dims[t]
+        a1, a2 = rep1.matrix(name), rep2.matrix(name)
+        # (g_t A1)_ij = sum_k (g_t)_ik (A1)_kj
+        for i in range(dt):
+            for k in range(dt):
+                columns[offset[t] + i * dt + k] ^= a1[k] << (base + i * ds)
+        # (A2 g_s)_ij = sum_k (A2)_ik (g_s)_kj
+        for k in range(ds):
+            hits = sum(1 << (i * ds) for i in range(dt) if a2[i] >> k & 1)
+            for j in range(ds):
+                columns[offset[s] + k * ds + j] ^= hits << (base + j)
+        base += dt * ds
+    return f2.kernel_basis(columns)
+
+
 def isomorphic(q: QuiverPresentation, rep1: QuiverRepresentation,
                rep2: QuiverRepresentation) -> bool:
-    """Exhaustively decide whether invertible vertex-wise matrices
-    intertwine all arrows (dims at most 3 per vertex)."""
+    """Decide exactly whether invertible vertex maps g_v intertwine all
+    arrows, g_t A1 = A2 g_s, by searching the Hom space only.
+
+    Hom(rep1, rep2) is one F2 kernel over the sum of d_v^2 entries.  An
+    isomorphism makes Hom(rep1, rep2) isomorphic to End(rep1), so
+    unequal dimension vectors or dim Hom != dim End reject at once.
+    Otherwise Hom is walked in Gray-code order from the zero element
+    (the isomorphism when every d_v is 0) until an element has every
+    vertex block invertible.  The walk visits at most 2^dim Hom
+    elements; dim Hom above HOM_DIM_BOUND raises DimensionTooLarge."""
     _check_shapes(q, rep1)
     _check_shapes(q, rep2)
-    for v in q.vertices:
-        if rep1.dims[v] > 3 or rep2.dims[v] > 3:
-            raise DimensionTooLarge(
-                "vertex %r has dimension > 3" % v)
     if any(rep1.dims[v] != rep2.dims[v] for v in q.vertices):
         return False
-    groups = [_gl(rep1.dims[v]) for v in q.vertices]
-    mats1 = {name: rep1.matrix(name) for name, _, _ in q.arrows}
-    mats2 = {name: rep2.matrix(name) for name, _, _ in q.arrows}
-    vert_index = {v: i for i, v in enumerate(q.vertices)}
-    return any(all(_mul(choice[vert_index[t]], mats1[name])
-                   == _mul(mats2[name], choice[vert_index[s]])
-                   for name, s, t in q.arrows)
-               for choice in itertools.product(*groups))
+    hom = _hom_basis(q, rep1, rep2)
+    if len(hom) != len(_hom_basis(q, rep1, rep1)):
+        return False
+    if len(hom) > HOM_DIM_BOUND:
+        raise DimensionTooLarge(
+            "dim Hom is %d, above the search bound HOM_DIM_BOUND = %d"
+            % (len(hom), HOM_DIM_BOUND))
+    blocks = [(off, rep1.dims[v])
+              for v, off in _offsets(q, rep1.dims).items()]
+    g = 0
+    for step in range(1 << len(hom)):
+        if step:
+            # Gray code: flip the basis element at the lowest set bit
+            g ^= hom[(step & -step).bit_length() - 1]
+        if all(f2.rank((g >> (off + i * d)) & ((1 << d) - 1)
+                       for i in range(d)) == d
+               for off, d in blocks):
+            return True
+    return False
 
 
 def orbit(q: QuiverPresentation, rep: QuiverRepresentation
@@ -271,14 +337,19 @@ def regular_representation(cat: DirectedCategoryPresentation
 
 
 def cp2_quiver() -> QuiverPresentation:
-    """Documented fixture: the standard three-vertex quiver with two
-    arrows at each level and relations
+    """A fixed test quiver: three vertices, two arrows at each level and
+    relations
 
         b1 a1 = 0,   b0 a0 = c0,   b0 a1 + b1 a0 = c1
 
-    (the middle relation's sign collapses mod 2).  This is a recorded
-    fixture, not the pipeline output: the pipeline computes its own
-    presentation over Z/2.
+    (the middle relation's sign collapses mod 2).  Its path algebra has
+    a 3-dimensional hom(x_4, x_0): four two-step paths and two long
+    arrows less three independent relations.  The pipeline's category
+    of the unknot at framing +1 has a 2-dimensional hom(top, bottom),
+    H*(S^3 - unknot; F2), so this quiver does not present that
+    category; from_category(build_flow_category(fixture("unknot", (1,))))
+    does.  It serves as an input for the relation and isomorphism
+    checks only.
     """
     vertices = ("x_4", "x_2", "x_0")
     arrows = (

@@ -143,7 +143,7 @@ def test_criterion_7_rp2_table():
 
 def test_criterion_8_quiver_suite():
     """The standard representation satisfies the fixture quiver's
-    relations, and exhaustive isomorphism agrees with the orbit
+    relations, and the Hom-space isomorphism test agrees with the orbit
     enumeration oracle on 50 random pairs with dims (2, 2, 2)."""
     ok, _ = check_relations(cp2_quiver(), cp2_standard_representation())
     q = QuiverPresentation(

@@ -63,6 +63,16 @@ def test_square_zero_enforced():
         CascadeComplex(("a", "b", "c"), {"a": ("b",), "b": ("c",)})
 
 
+def test_unknown_generators_in_complex_named():
+    with pytest.raises(errors.UnknownGenerator, match="d g names h, not a generator"):
+        CascadeComplex(("g",), {"g": ("h",)})
+    with pytest.raises(errors.UnknownGenerator, match="given on h, not a"):
+        CascadeComplex(("g",), {"h": ("g",)})
+    cx = CascadeComplex(("g", "h"), {"g": ("h",)}, {"g": 1})
+    with pytest.raises(errors.UnknownGenerator, match="h has no degree"):
+        cx.betti_by_degree()
+
+
 def test_translation_invariance_of_marked_points():
     base = {}
     upper, lower, corr = standard_upper_pair()
@@ -335,6 +345,19 @@ def test_consistent_rank_deficient_overlap_raises():
     # w = (0, 0) solves every equation
     with pytest.raises(errors.NonTransverse, match="rank-deficient"):
         intersect_cell_groups(2, _overlap(F(0)))
+
+
+def test_non_transverse_names_what_is_at_fault():
+    # the dependencies of _overlap combine rows of all three cell groups
+    with pytest.raises(errors.NonTransverse,
+                       match="overlap of cell groups 0, 1, 2;"):
+        intersect_cell_groups(2, _overlap(F(0)))
+    # the point x = 1/4 of group 0 is the start of group 1's open arc
+    groups = [([((1,), F(1, 4))], []), ([], [((1,), 0, F(1, 4), F(1, 2))])]
+    with pytest.raises(errors.NonTransverse) as info:
+        intersect_cell_groups(1, groups)
+    assert "point (1/4) lies on the boundary of cell group 1's open " \
+        "condition 0 < (1).w + 0 - 1/4 < 1/2 mod 1" in str(info.value)
 
 
 def test_contradictory_equations_in_one_cell_are_empty():

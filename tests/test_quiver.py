@@ -2,14 +2,15 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
-from fukaya_flow import errors, quiver
+from fukaya_flow import errors, f2, quiver
 from fukaya_flow.flow import (DirectedCategoryPresentation,
                               build_flow_category, rp2_category)
 from fukaya_flow.homology import F2Presentation
-from fukaya_flow.links import fixture
+from fukaya_flow.links import fixture, fixture_names
 from fukaya_flow.quiver import (QuiverPresentation, QuiverRepresentation,
                                 check_relations, cp2_quiver,
                                 cp2_standard_representation, from_category,
@@ -51,6 +52,9 @@ def test_shape_mismatch():
         check_relations(cp2_quiver(),
                         QuiverRepresentation(rep.dims,
                                              {"a_0": ((1,),)}))
+    dims = {v: d for v, d in rep.dims.items() if v != "x_2"}
+    with pytest.raises(errors.ShapeMismatch, match="vertex 'x_2'"):
+        isomorphic(cp2_quiver(), rep, QuiverRepresentation(dims, rep.matrices))
 
 
 def test_isomorphic_identity_and_zero():
@@ -62,15 +66,16 @@ def test_isomorphic_identity_and_zero():
     assert not isomorphic(q, std, zero)
 
 
-def test_isomorphic_dimension_cap():
+def test_isomorphic_hom_dimension_bound():
+    # the zero representation's Hom space is every triple of 3x3 maps
     q = cp2_quiver()
-    dims = {"x_4": 4, "x_2": 1, "x_0": 1}
-    big = QuiverRepresentation(dims, {
-        "a_0": ((1, 0, 0, 0),), "a_1": ((0, 0, 0, 0),),
-        "b_0": ((1,),), "b_1": ((0,),),
-        "c_0": ((1, 0, 0, 0),), "c_1": ((0, 0, 0, 0),)})
-    with pytest.raises(errors.DimensionTooLarge):
-        isomorphic(q, big, big)
+    dims = {v: 3 for v in q.vertices}
+    zero = QuiverRepresentation(dims, {
+        name: ((0, 0, 0),) * 3 for name, _, _ in q.arrows})
+    assert 27 > quiver.HOM_DIM_BOUND
+    with pytest.raises(errors.DimensionTooLarge,
+                       match=r"dim Hom is 27\b.*= %d$" % quiver.HOM_DIM_BOUND):
+        isomorphic(q, zero, zero)
 
 
 def _random_rep(q, dims, rng):
@@ -128,6 +133,92 @@ def test_check_relations_invariant_under_isomorphism():
         moved = transform(q, rep, maps)
         assert check_relations(q, rep)[0] == check_relations(q, moved)[0]
         assert isomorphic(q, rep, moved)
+
+
+def _random_invertible(rng, n):
+    while True:
+        g = tuple(rng.randrange(1 << n) for _ in range(n))
+        if f2.rank(g) == n:
+            return g
+
+
+def _arrow_ranks(q, rep):
+    return [f2.rank(rep.matrix(name)) for name, _, _ in q.arrows]
+
+
+def test_isomorphic_matches_orbit_oracle_on_cp2_pairs():
+    """Seeded cp2_quiver pairs, zero-dimensional vertices and (2, 3, 2)
+    included: odd pairs are base changes, even pairs random with equal
+    arrow ranks.  Every verdict matches the orbit oracle, and the pairs
+    that pass both rejections, so that the Gray-code walk decides them,
+    are counted by verdict."""
+    rng = random.Random(41)
+    q = cp2_quiver()
+    shapes = ([(0, 0, 0), (0, 0, 0), (0, 2, 1), (0, 2, 1)]
+              + [tuple(rng.randint(0, 2) for _ in range(3))
+                 for _ in range(400)]
+              + [(2, 3, 2)] * 2)
+    walked = {True: 0, False: 0}
+    for n, shape in enumerate(shapes):
+        dims = dict(zip(q.vertices, shape))
+        r1 = _random_rep(q, dims, rng)
+        if n % 2:
+            r2 = transform(q, r1, {v: _random_invertible(rng, dims[v])
+                                   for v in q.vertices})
+        else:
+            r2 = _random_rep(q, dims, rng)
+            while _arrow_ranks(q, r2) != _arrow_ranks(q, r1):
+                r2 = _random_rep(q, dims, rng)
+        verdict = isomorphic(q, r1, r2)
+        assert verdict == (rep_key(q, r2) in orbit(q, r1)), (n, shape)
+        # equal dims and dim Hom = dim End pass both rejections
+        if len(quiver._hom_basis(q, r1, r2)) == \
+                len(quiver._hom_basis(q, r1, r1)):
+            walked[verdict] += 1
+    assert walked == {True: 333, False: 12}
+
+
+def test_isomorphic_past_the_oracle_on_catalog_categories():
+    # bottom dimension 2k, up to 6, beyond the oracle's GL(3, F2)
+    rng = random.Random(43)
+    bottoms = []
+    for name in fixture_names():
+        cat = build_flow_category(fixture(name))
+        q, rep = from_category(cat), regular_representation(cat)
+        bottoms.append(rep.dims[cat.bottom])
+        moved = transform(q, rep, {v: _random_invertible(rng, rep.dims[v])
+                                   for v in q.vertices})
+        assert isomorphic(q, rep, rep) and isomorphic(q, rep, moved), name
+        arrow = rng.choice([a for a, _, _ in q.arrows
+                            if f2.rank(rep.matrix(a))])
+        mats = dict(rep.matrices)
+        mats[arrow] = tuple((0,) * len(row) for row in mats[arrow])
+        cut = QuiverRepresentation(rep.dims, mats)
+        assert _arrow_ranks(q, cut) != _arrow_ranks(q, rep)
+        assert not isomorphic(q, rep, cut), (name, arrow)
+        assert not isomorphic(q, cut, moved), (name, arrow)
+    assert max(bottoms) == 6
+
+
+def test_isomorphic_333_pair_within_a_tenth_of_a_second():
+    rng = random.Random(47)
+    q = cp2_quiver()
+    dims = {v: 3 for v in q.vertices}
+    r1 = _random_rep(q, dims, rng)
+    r2 = _random_rep(q, dims, rng)
+    while _arrow_ranks(q, r2) == _arrow_ranks(q, r1):
+        r2 = _random_rep(q, dims, rng)
+    moved = transform(q, r1, {v: _random_invertible(rng, 3)
+                              for v in q.vertices})
+    start = time.perf_counter()
+    apart = isomorphic(q, r1, r2)
+    elapsed = time.perf_counter() - start
+    # a rank difference proves the pair apart
+    assert not apart and elapsed < 0.1
+    start = time.perf_counter()
+    same = isomorphic(q, r1, moved)
+    elapsed = time.perf_counter() - start
+    assert same and elapsed < 0.1
 
 
 def test_from_category_unknot():
@@ -196,3 +287,15 @@ def test_representation_json():
     blob = cp2_standard_representation().to_json()
     assert blob["dims"] == {"x_0": 1, "x_2": 1, "x_4": 1}
     assert blob["matrices"]["a_0"] == [[1]]
+
+
+def test_cp2_quiver_does_not_present_the_pipeline_cp2_category():
+    # hom(x_4, x_0) of the path algebra: the four two-step paths and the
+    # two long arrows, less the span of the relations
+    q = cp2_quiver()
+    paths = [(a, b) for a in ("a_0", "a_1") for b in ("b_0", "b_1")] + [
+        ("c_0",), ("c_1",)]
+    rows = [sum(1 << paths.index(p) for p in rel) for rel in q.relations]
+    assert len(paths) - f2.rank(rows) == 3
+    cat = build_flow_category(fixture("unknot", (1,)))
+    assert regular_representation(cat).dims[cat.bottom] == 2
