@@ -8,7 +8,7 @@ and quivers with relations over F2.
 
 from .errors import FukayaFlowError
 from .flow import DirectedCategoryPresentation, build_flow_category, \
-    relation_table, rp2_category
+    rp2_category
 from .fukaya import build_fukaya_category, verify_theorem_b
 from .homology import ComplementHomology, F2Presentation, \
     complement_homology
@@ -24,7 +24,7 @@ __all__ = [
     "LinkingMatrix", "build_flow_category", "build_fukaya_category",
     "cascade_moduli", "complement_homology", "differential_case_I",
     "fixture", "handle_complex_from_link", "linking_matrix",
-    "linking_number", "parse_pd", "relation_table", "rp2_category",
+    "linking_number", "parse_pd", "rp2_category",
     "verify_theorem_b",
 ]
 

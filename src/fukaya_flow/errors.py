@@ -20,7 +20,9 @@ class ArcLabelNotPairedTwice(FukayaFlowError):
 
 
 class InconsistentOrientation(FukayaFlowError):
-    """No consistent strand orientation exists for the diagram."""
+    """No consistent strand orientation exists for the diagram.
+    links.parse_pd names the arc with two heads or two tails and the
+    crossings (1-based) at its ends."""
 
 
 class NonPlanarPD(FukayaFlowError):
@@ -60,6 +62,12 @@ class NonTransverse(FukayaFlowError):
     """
 
 
+class TooManyTranslates(FukayaFlowError):
+    """morse.intersect_cell_groups would search more than
+    TRANSLATE_BOUND lattice translates: its equations need D^r of them,
+    and the message names D, r and the bound."""
+
+
 class DifferentialNotSquareZero(FukayaFlowError):
     """The differential of a claimed chain complex does not square to zero."""
 
@@ -67,8 +75,9 @@ class DifferentialNotSquareZero(FukayaFlowError):
 class UnsupportedModel(FukayaFlowError):
     """Morse-Bott data outside the modelled range: a flat model with more
     than two circle factors or names that miss the point grid or repeat,
-    a bad circle profile, a correspondence cell above (R/Z)^2, or a
-    cascade chain of two or more correspondences."""
+    a bad circle profile, an evaluation map with a non-integer linear
+    part, a correspondence cell above (R/Z)^2, or a cascade chain of two
+    or more correspondences."""
 
 
 class ActionOrderViolation(FukayaFlowError):

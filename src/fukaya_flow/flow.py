@@ -195,59 +195,6 @@ def build_flow_category(fl: FramedLink) -> DirectedCategoryPresentation:
     )
 
 
-@dataclass(frozen=True)
-class CompositeRelation:
-    """A linear relation among composite products, with every pair
-    (mid, u, v) standing for the product of u and v through mid."""
-
-    name: str
-    terms: tuple[tuple[int, str, str], ...]
-
-    def holds(self, cat: DirectedCategoryPresentation) -> bool:
-        acc = 0
-        pres = cat.hom_top_bottom
-        for mid, u, v in self.terms:
-            acc ^= pres.vector(cat.compose(mid, u, v))
-        return pres.canonicalize(acc) == 0
-
-
-def relation_table(cat: DirectedCategoryPresentation
-                   ) -> list[CompositeRelation]:
-    """The relation families among the composite classes, coefficients
-    reduced mod 2:
-
-    - the [K+^j][K-^j] products sum to zero;
-    - all [p+^j][p-^j] products agree;
-    - [p+^j][K-^j] equals m_j [K+^j][p-^j] plus the [K+^i][p-^i] of the
-      components linking j oddly.
-    """
-    matrix = cat.linking
-    if matrix is None:
-        raise ValueError("relation_table needs a link-built category")
-    k = len(cat.middles)
-    names = flow_generator_names(k)
-    rels = [CompositeRelation(
-        "sum_KK",
-        tuple((j, names["top_mid"][j][0], names["mid_bottom"][j][0])
-              for j in range(k)))]
-    for j in range(1, k):
-        rels.append(CompositeRelation(
-            "pp_%d_equals_pp_1" % (j + 1),
-            ((0, names["top_mid"][0][1], names["mid_bottom"][0][1]),
-             (j, names["top_mid"][j][1], names["mid_bottom"][j][1]))))
-    for j in range(k):
-        terms = [(j, names["top_mid"][j][1], names["mid_bottom"][j][0])]
-        if matrix.framing(j) % 2:
-            terms.append((j, names["top_mid"][j][0],
-                          names["mid_bottom"][j][1]))
-        for i in range(k):
-            if i != j and matrix.entries[j][i] % 2:
-                terms.append((i, names["top_mid"][i][0],
-                              names["mid_bottom"][i][1]))
-        rels.append(CompositeRelation("pK_%d" % (j + 1), tuple(terms)))
-    return rels
-
-
 def rp2_category() -> DirectedCategoryPresentation:
     """Hardcoded two-dimensional sanity fixture: three objects, two
     generators per hom space, products

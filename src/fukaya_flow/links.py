@@ -228,12 +228,8 @@ def _resolve_orientations(quadruples: list[tuple[int, int, int, int]],
         occ = ends[arc]
         return occ[1] if occ[0] == (ci, p) else occ[0]
 
+    # callers pass only undecided crossings
     def set_over_head(ci: int, p: int, queue: list[int]) -> None:
-        if ci in over_head:
-            if over_head[ci] != p:
-                raise InconsistentOrientation(
-                    "crossing %d cannot be oriented" % ci)
-            return
         over_head[ci] = p
         queue.append(ci)
 
@@ -257,8 +253,9 @@ def _resolve_orientations(quadruples: list[tuple[int, int, int, int]],
                     set_over_head(oc, op if want_head else (4 - op), queue)
                 elif other_role != want_head:
                     raise InconsistentOrientation(
-                        "arc %d has two %s" % (quad[p],
-                                               "heads" if role else "tails"))
+                        "arc %d has two %s, at crossings %d and %d"
+                        % ((quad[p], "heads" if role else "tails")
+                           + tuple(sorted((ci + 1, oc + 1)))))
         while first_free < len(quadruples) and first_free in over_head:
             first_free += 1
         if first_free == len(quadruples):
@@ -419,30 +416,6 @@ def linking_matrix(fl: FramedLink) -> LinkingMatrix:
             rows[i][j] = rows[j][i] = _halve(signed[i][j] + signed[j][i],
                                              i, j)
     return LinkingMatrix(tuple(map(tuple, rows)))
-
-
-def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
-    """Diagram with the orientation of one component reversed."""
-    arcs = set(diagram.components[comp])
-    new_quads = []
-    new_over = []
-    for ci, quad in enumerate(diagram.crossings):
-        a, b, c, d = quad
-        over = diagram.over_to_b[ci]
-        if a in arcs:
-            # reversed under-strand: rotate so the new incoming
-            # under-arc (c) sits first
-            quad = (c, d, a, b)
-            over = not over
-        if b in arcs:
-            over = not over
-        new_quads.append(quad)
-        new_over.append(over)
-    components = _trace_components(list(new_quads), list(diagram.circles),
-                                   new_over)
-    signs = tuple(1 if o else -1 for o in new_over)
-    return LinkDiagram(tuple(new_quads), diagram.circles, components,
-                       tuple(new_over), signs)
 
 
 # --- fixture catalog ----------------------------------------------------

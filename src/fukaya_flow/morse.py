@@ -4,13 +4,15 @@ A critical component carries one product flat model (FlatModel): a
 point, a circle R/Z or a torus (R/Z)^2 is the product of zero, one or
 two circle Morse functions.  All coordinates are rational, unstable and
 stable sets are axis-aligned product cells, and every intersection of
-cells pulled back along evaluation maps is decided exactly by one
-rational eliminator (RationalReducer) and a search over D^r lattice
-translates (see intersect_cell_groups).  Every cell factor is a point
-or an open arc; the circle minus one point is the arc of length 1.
-NonTransverse is raised only for a rank-deficient overlap that is
-consistent and for a point on a cell boundary; an inconsistent overlap
-is empty.  No floating point enters this module.
+cells pulled back along evaluation maps is decided exactly, in integer
+arithmetic: the rational data are scaled by their common denominator,
+one fraction-free eliminator (IntegerReducer) reduces the equations,
+and a search over the D^r lattice translates, at most TRANSLATE_BOUND
+of them, finds the points (see intersect_cell_groups).  Every cell
+factor is a point or an open arc; the circle minus one point is the arc
+of length 1.  NonTransverse is raised only for a rank-deficient overlap
+that is consistent and for a point on a cell boundary; an inconsistent
+overlap is empty.  No floating point enters this module.
 
 A correspondence packages the strip moduli between two components: a
 product cell (R/Z)^m with two affine evaluation maps into the source
@@ -43,8 +45,8 @@ from typing import Mapping, Optional
 from . import f2
 from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
                      DuplicateGeneratorName, NegativeCascadeCount,
-                     NonTransverse, UnknownComponent, UnknownGenerator,
-                     UnsupportedModel)
+                     NonTransverse, TooManyTranslates, UnknownComponent,
+                     UnknownGenerator, UnsupportedModel)
 from .links import FramedLink
 
 Frac = Fraction
@@ -205,6 +207,10 @@ class AffineMap:
     def __post_init__(self):
         if len(self.rows) != len(self.offsets):
             raise ValueError("one offset per row")
+        # the intersection kernel's lattice search needs integer rows
+        if not all(isinstance(a, int) for row in self.rows for a in row):
+            raise UnsupportedModel("an evaluation map needs an integer "
+                                   "linear part")
 
     @property
     def target_dim(self):
@@ -242,71 +248,92 @@ class Correspondence:
 # exact intersection counting
 # --------------------------------------------------------------------------
 
-class RationalReducer:
-    """Incremental Gauss-Jordan eliminator over Q with combination
-    tracking, the rational counterpart of f2.Reducer.
+# the most lattice translates one intersect_cell_groups call searches
+TRANSLATE_BOUND = 2 ** 16
+
+
+class IntegerReducer:
+    """Incremental fraction-free eliminator over Z with combination
+    tracking, after Bareiss, Math. Comp. 22 (1968): the integer
+    counterpart of f2.Reducer.
 
     Rows are numbered in the order they are added.  Each pivot row is
-    kept fully reduced (a 1 at its pivot, 0 at every other pivot) and is
-    stored with its combination: {added row number: coefficient}, the
-    added rows whose weighted sum it is.  Only rows that raised the rank
-    ever appear in a combination.
+    kept as (vector, combo): vector is the combination combo = {added
+    row number: coefficient} of added rows, it is 0 at every other
+    pivot, its entry at its own pivot (the pivot scale) is positive,
+    and the coefficients have gcd 1.  So vector / scale is the fully
+    reduced pivot row over Q.  Only rows that raised the rank ever
+    appear in a combination.
     """
 
     def __init__(self) -> None:
-        self._pivots: dict[int, tuple[list[Frac], dict[int, Frac]]] = {}
+        self._pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
         self._count = 0
 
-    def reduce(self, v) -> tuple[list[Frac], dict[int, Frac]]:
-        """(residual, combo): v minus the combination combo of added
-        rows.  The residual is 0 in every pivot column; it is zero
-        exactly when v lies in the span."""
-        v = [Frac(a) for a in v]
-        combo: dict[int, Frac] = {}
+    def reduce(self, v) -> tuple[list[int], dict[int, int], int]:
+        """(residual, combo, scale), scale > 0: scale * v minus the
+        combination combo of added rows is the residual.  The residual
+        is 0 in every pivot column; it is zero exactly when v lies in
+        the span."""
+        v, combo, scale = list(v), {}, 1
         # a pivot row is 0 at the other pivots, so one sweep clears all
         for p, (row, row_combo) in self._pivots.items():
             f = v[p]
             if f:
-                v = [a - f * b for a, b in zip(v, row)]
-                combo = _combine(combo, f, row_combo)
-        return v, combo
+                s = row[p]
+                v = [s * a - f * b for a, b in zip(v, row)]
+                combo = _combine(s, combo, f, row_combo)
+                scale *= s
+        return v, combo, scale
 
-    def add(self, v) -> tuple[list[Frac], dict[int, Frac]]:
-        """Add v as the next row.  Returns (residual, combo) as for
-        reduce; a zero residual means v is exactly the combination combo
-        of the rows before it."""
-        v, combo = self.reduce(v)
+    def add(self, v) -> tuple[list[int], dict[int, int], int]:
+        """Add v as the next row.  Returns (residual, combo, scale) as
+        for reduce; a zero residual means scale * v is exactly the
+        combination combo of the rows before it."""
+        residual, combo, scale = self.reduce(v)
         n = self._count
         self._count += 1
-        p = next((c for c, a in enumerate(v) if a), None)
+        p = next((c for c, a in enumerate(residual) if a), None)
         if p is not None:
-            f = v[p]
-            row = [a / f for a in v]
-            row_combo = _combine({n: 1 / f}, -1 / f, combo)
+            row, row_combo = _primitive(p, residual,
+                                        _combine(-1, combo, scale, {n: 1}))
+            s = row[p]
             for q, (other, other_combo) in list(self._pivots.items()):
-                g = other[p]
-                if g:
-                    self._pivots[q] = ([a - g * b for a, b in zip(other, row)],
-                                       _combine(other_combo, -g, row_combo))
+                f = other[p]
+                if f:
+                    self._pivots[q] = _primitive(
+                        q, [s * a - f * b for a, b in zip(other, row)],
+                        _combine(s, other_combo, -f, row_combo))
             self._pivots[p] = (row, row_combo)
-        return v, combo
+        return residual, combo, scale
 
-    def pivot_combos(self) -> list[dict[int, Frac]]:
-        """The pivot rows' combinations, by pivot column."""
-        return [self._pivots[p][1] for p in sorted(self._pivots)]
+    def pivots(self) -> list[tuple[dict[int, int], int]]:
+        """(combo, scale) of each pivot row, by pivot column."""
+        return [(combo, row[p]) for p, (row, combo)
+                in sorted(self._pivots.items())]
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
 
-def _combine(x: dict[int, Frac], f: Frac, y: dict[int, Frac]
-             ) -> dict[int, Frac]:
-    """x + f * y for row combinations, without zero coefficients."""
-    out = dict(x)
+def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]
+             ) -> dict[int, int]:
+    """a * x + b * y for row combinations, without zero coefficients."""
+    out = {i: a * c for i, c in x.items()}
     for i, c in y.items():
-        out[i] = out.get(i, 0) + f * c
+        out[i] = out.get(i, 0) + b * c
     return {i: c for i, c in out.items() if c}
+
+
+def _primitive(p: int, row: list[int], combo: dict[int, int]
+               ) -> tuple[list[int], dict[int, int]]:
+    """A pivot row and its combination divided by the gcd of the
+    coefficients, signed so that the entry at pivot p is positive."""
+    g = math.gcd(*combo.values())
+    if row[p] < 0:
+        g = -g
+    return [a // g for a in row], {i: c // g for i, c in combo.items()}
 
 
 def _constraints(ev: AffineMap, cell) -> tuple[list, list]:
@@ -315,7 +342,7 @@ def _constraints(ev: AffineMap, cell) -> tuple[list, list]:
         row, off = ev.rows[r], ev.offsets[r]
         kind = coord_cell[0]
         if kind == "pt":
-            eqs.append((row, _mod1(coord_cell[1] - off)))
+            eqs.append((row, coord_cell[1] - off))
         elif kind == "arc":
             opens.append((row, off, coord_cell[1], coord_cell[2]))
         else:
@@ -340,15 +367,24 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
     cells on (R/Z)^m, one (equations, open conditions) pair per cell.
     An equation (row, rhs) asks row.w = rhs mod 1; an open condition
     (row, off, start, length) asks row.w + off - start mod 1 to lie
-    strictly between 0 and length.
+    strictly between 0 and length.  Rows are integer vectors, the other
+    entries ints or Fractions.
 
-    One RationalReducer pass over all equations row.w = rhs (mod 1)
-    finds the r independent rows A, each dependent row's exact
-    combination of them and the solution map.  Writing the independent
-    equations as A w = rhs + n with n in Z^r, the dependent equations
-    and the solutions mod 1 depend on n only modulo D, the lcm of the
-    denominators in the pivot combinations: D Z^r lies in A Z^m.  So
-    the search visits exactly the D^r translates n in [0, D)^r.
+    The arithmetic is in integers.  L, the lcm of the denominators of
+    every right-hand side, offset, start and length, scales them all to
+    ints.  One IntegerReducer pass over the rows finds the r independent
+    rows A, each dependent row's combination e.row = sum c_i A_i of
+    them and, per pivot column p, a combination sum c_i A_i that is s
+    at p and 0 at the other pivots.  Writing the independent equations
+    as A w = rhs + n with n in Z^r, the dependent equations and the
+    solutions mod 1 depend on n only modulo D, the lcm of the pivot
+    scales s: D Z^r lies in A Z^m.  So the search visits exactly the
+    D^r translates n in [0, D)^r, and raises TooManyTranslates, naming
+    D and r, if there are more than TRANSLATE_BOUND.  A dependent
+    equation holds when sum c_i L(rhs_i + n_i) - e L rhs is 0 mod e L.
+    A candidate point w is kept as the int tuple N w mod N, N = L D,
+    and the open conditions are tested mod N; Fractions are built only
+    for the returned points and for messages.
 
     The cells overlap rank-deficiently (the rank of all equations is
     below the sum of the cells' ranks) exactly when a dependent row's
@@ -360,61 +396,75 @@ def intersect_cell_groups(m: int, groups: list[tuple[list, list]]
     m - r when some translate satisfies them and is empty otherwise.  A
     finite candidate set also raises NonTransverse, naming the point and
     the open condition, when a candidate point meets a cell boundary."""
-    red = RationalReducer()
-    rhs, owner, independent, dependent = [], [], [], []
-    overlap: set[int] = set()  # the cell groups of cross-cell dependencies
-    for g, (eqs, _) in enumerate(groups):
-        for row, b in eqs:
-            residual, combo = red.add(row)
-            if any(residual):
-                independent.append(len(rhs))
-            else:
-                dependent.append((combo, b))
-                used = {owner[i] for i in combo} | {g}
-                if len(used) > 1:
-                    overlap |= used
-            rhs.append(b)
-            owner.append(g)
+    eqs = [(g, row, b) for g, (group_eqs, _) in enumerate(groups)
+           for row, b in group_eqs]
     opens = [(g, op) for g, (_, group_opens) in enumerate(groups)
              for op in group_opens]
+    lcd = math.lcm(*(b.denominator for _, _, b in eqs),
+                   *(x.denominator for _, op in opens for x in op[1:]))
+
+    def scaled(x) -> int:
+        return x.numerator * (lcd // x.denominator)
+
+    red = IntegerReducer()
+    rhs, owner, independent, dependent = [], [], [], []
+    overlap: set[int] = set()  # the cell groups of cross-cell dependencies
+    for g, row, b in eqs:
+        residual, combo, e = red.add(row)
+        if any(residual):
+            independent.append(len(rhs))
+        else:
+            dependent.append((combo, e, scaled(b)))
+            used = {owner[i] for i in combo} | {g}
+            if len(used) > 1:
+                overlap |= used
+        rhs.append(scaled(b))
+        owner.append(g)
     r = red.rank
     if r < m and not dependent:
         return IntersectionDescription(dim=m - r)
 
-    solution = red.pivot_combos()
-    lcm = math.lcm(*(c.denominator for combo in solution
-                     for c in combo.values()))
-    candidates: set[tuple[Frac, ...]] = set()
-    for n in itertools.product(range(lcm), repeat=r):
-        target = {i: rhs[i] + k for i, k in zip(independent, n)}
-        if all(_mod1(_at(combo, target) - b) == 0 for combo, b in dependent):
+    pivots = red.pivots()
+    d = math.lcm(*(s for _, s in pivots))
+    if d ** r > TRANSLATE_BOUND:
+        raise TooManyTranslates(
+            "the equations need D^r = %d^%d lattice translates, more than "
+            "TRANSLATE_BOUND = %d" % (d, r, TRANSLATE_BOUND))
+    modulus = lcd * d
+    candidates: set[tuple[int, ...]] = set()
+    for n in itertools.product(range(d), repeat=r):
+        target = {i: rhs[i] + lcd * k for i, k in zip(independent, n)}
+        if all((_at(combo, target) - e * b) % (e * lcd) == 0
+               for combo, e, b in dependent):
             if overlap:
                 raise NonTransverse(
                     "rank-deficient overlap of cell groups %s; perturb "
                     "marked points" % ", ".join(map(str, sorted(overlap))))
             if r < m:
                 return IntersectionDescription(dim=m - r)
-            candidates.add(tuple(_mod1(_at(combo, target))
-                                 for combo in solution))
+            candidates.add(tuple(d // s * _at(combo, target) % modulus
+                                 for combo, s in pivots))
     if overlap or r < m:
         return IntersectionDescription(dim=m - r, empty=True)
 
+    # (cell group, condition, N (off - start), N length)
+    conditions = [(g, op, d * (scaled(op[1]) - scaled(op[2])),
+                   d * scaled(op[3])) for g, op in opens]
     survivors = []
     for w in sorted(candidates):
-        ok = True
-        for g, (row, off, start, length) in opens:
-            t = _mod1(sum(a * x for a, x in zip(row, w)) + off - start)
-            if t == 0 or t == length:
+        for g, (row, off, start, length), shift, top in conditions:
+            t = (sum(a * x for a, x in zip(row, w)) + shift) % modulus
+            if t == 0 or t == top:
                 raise NonTransverse(
                     "intersection point %s lies on the boundary of cell "
                     "group %d's open condition 0 < %s.w + %s - %s < %s "
                     "mod 1; perturb marked points"
-                    % (_show(w), g, _show(row), off, start, length))
-            if not (0 < t < length):
-                ok = False
+                    % (_show(Frac(x, modulus) for x in w), g, _show(row),
+                       off, start, length))
+            if not 0 < t < top:
                 break
-        if ok:
-            survivors.append(w)
+        else:
+            survivors.append(tuple(Frac(x, modulus) for x in w))
     return IntersectionDescription(dim=0, points=tuple(survivors),
                                    empty=not survivors)
 
@@ -424,9 +474,9 @@ def _show(v) -> str:
     return "(%s)" % ", ".join(map(str, v))
 
 
-def _at(combo: dict[int, Frac], target: dict[int, Frac]) -> Frac:
+def _at(combo: dict[int, int], target: dict[int, int]) -> int:
     """A combination of equations evaluated at right-hand sides."""
-    return sum((c * target[i] for i, c in combo.items()), Frac(0))
+    return sum(c * target[i] for i, c in combo.items())
 
 
 def _pull_back(m: int, *pulled: tuple[AffineMap, tuple]
@@ -577,12 +627,14 @@ def differential_case_I(source: CriticalComponent,
             diff[n] = model.boundary(n)
 
     if corr is not None:
+        stable = {y: _constraints(corr.ev_plus, target.model.cells(y, True))
+                  for y in target.model.generator_names()}
         for x in source.model.generator_names():
-            unstable = (corr.ev_minus, source.model.cells(x, False))
-            extra = [y for y in target.model.generator_names()
-                     if _pull_back(corr.dim, unstable,
-                                   (corr.ev_plus, target.model.cells(y, True))
-                                   ).count_mod2]
+            unstable = _constraints(corr.ev_minus,
+                                    source.model.cells(x, False))
+            extra = [y for y, group in stable.items()
+                     if intersect_cell_groups(corr.dim,
+                                              [unstable, group]).count_mod2]
             if extra:
                 diff[x] = tuple(sorted(set(diff[x]) ^ set(extra)))
 
@@ -652,17 +704,20 @@ def triangle_product_table() -> dict[tuple[str, str], tuple[str, ...]]:
     This is the independent oracle for the local (unframed) part of the
     category composition tables.
     """
-    tx = square_torus("x", Frac(0))
-    ty = square_torus("y", Frac(1, 8))
-    tz = square_torus("z", Frac(-1, 8) + 1)
     ident = identity_map(2)
+
+    def groups(model: FlatModel, stable: bool) -> dict[str, tuple]:
+        return {g: _constraints(ident, model.cells(g, stable))
+                for g in model.generator_names()}
+
+    xs = groups(square_torus("x", Frac(0)), False)
+    ys = groups(square_torus("y", Frac(1, 8)), False)
+    zs = groups(square_torus("z", Frac(-1, 8) + 1), True)
     table: dict[tuple[str, str], tuple[str, ...]] = {}
-    for x in tx.generator_names():
-        for y in ty.generator_names():
-            out = [z for z in tz.generator_names()
-                   if _pull_back(2, (ident, tx.cells(x, False)),
-                                 (ident, ty.cells(y, False)),
-                                 (ident, tz.cells(z, True))).count_mod2]
+    for x, gx in xs.items():
+        for y, gy in ys.items():
+            out = [z for z, gz in zs.items()
+                   if intersect_cell_groups(2, [gx, gy, gz]).count_mod2]
             table[(x, y)] = tuple(sorted(out))
     return table
 

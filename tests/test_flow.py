@@ -6,10 +6,10 @@ from dataclasses import replace
 import pytest
 
 from fukaya_flow.flow import (DirectedCategoryPresentation,
-                              build_flow_category, relation_table,
-                              rp2_category)
+                              build_flow_category, rp2_category)
 from fukaya_flow.homology import F2Presentation
 from fukaya_flow.links import fixture
+from helpers import relation_table
 
 
 def test_unknot_m1_products():

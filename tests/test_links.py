@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from fukaya_flow import errors, links
 from fukaya_flow.links import (FramedLink, fixture, fixture_names,
                                linking_matrix, linking_number, parse_pd,
-                               reverse_component, self_writhe)
+                               self_writhe)
+from helpers import reverse_component
 
 HOPF = "X(1,3,2,4),X(3,1,4,2)"
 TREFOIL = "X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)"
@@ -54,6 +55,21 @@ def test_inconsistent_orientation():
     # arc 1 comes in as the under-strand at both crossings: two heads
     with pytest.raises(errors.InconsistentOrientation):
         parse_pd("X(1,2,3,4),X(1,3,2,4)")
+
+
+def test_inconsistent_orientation_names_the_crossings():
+    # 1-based crossings at the two ends of the arc, after a Hopf piece
+    with pytest.raises(errors.InconsistentOrientation,
+                       match="arc 1 has two heads, at crossings 1 and 2$"):
+        parse_pd("X(1,2,3,4),X(1,3,2,4)")
+    hopf = "X(1,3,2,4),X(3,1,4,2),"
+    with pytest.raises(errors.InconsistentOrientation,
+                       match="arc 5 has two heads, at crossings 3 and 4$"):
+        parse_pd(hopf + "X(5,6,7,8),X(5,7,6,8)")
+    # position 2 is where an under-strand leaves: arc 7 leaves twice
+    with pytest.raises(errors.InconsistentOrientation,
+                       match="arc 7 has two tails, at crossings 3 and 4$"):
+        parse_pd(hopf + "X(5,6,7,8),X(6,8,7,5)")
 
 
 def test_nonplanar_pd_rejected():

@@ -1,9 +1,12 @@
 """Cascade complexes, the case-I engine, and the handle decomposition."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from fukaya_flow import errors, f2, morse
@@ -12,7 +15,7 @@ from fukaya_flow.links import FramedLink, fixture, linking_matrix, parse_pd
 from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
                                CircleProfile, Correspondence,
                                CriticalComponent, FlatModel,
-                               IntersectionDescription, RationalReducer,
+                               IntegerReducer, IntersectionDescription,
                                cascade_moduli, differential_case_I,
                                handle_complex_from_link, identity_map,
                                intersect_cell_groups, projection_map,
@@ -192,6 +195,8 @@ def test_unsupported_model_error():
         two_point_profile(F(0), F(0))
     with pytest.raises(errors.UnsupportedModel):
         CriticalComponent("bad", object(), F(0))
+    with pytest.raises(errors.UnsupportedModel, match="integer linear"):
+        AffineMap(((F(1, 2),),), (F(0),))
 
 
 def test_point_component_over_circle():
@@ -373,7 +378,7 @@ def test_contradictory_equations_in_one_cell_are_empty():
         IntersectionDescription(dim=1)
 
 
-def test_rational_reducer_combinations():
+def test_integer_reducer_combinations():
     rng = random.Random(11)
     for _ in range(200):
         m = rng.randint(1, 4)
@@ -387,26 +392,32 @@ def test_rational_reducer_combinations():
                 known_dependent.add(n)
             else:
                 rows.append(tuple(rng.randint(-3, 3) for _ in range(m)))
-        red = RationalReducer()
+        red = IntegerReducer()
         independent = 0
         for n, row in enumerate(rows):
-            residual, combo = red.add(row)
+            residual, combo, scale = red.add(row)
             assert set(combo) <= set(range(n))
-            assert residual == [row[c] - sum(x * rows[i][c]
-                                             for i, x in combo.items())
+            assert scale > 0
+            assert residual == [scale * row[c] - sum(x * rows[i][c]
+                                                     for i, x in combo.items())
                                 for c in range(m)]
             if n in known_dependent:
                 assert not any(residual)
             independent += any(residual)
         assert red.rank == independent
-        # the pivot combinations reproduce the reduced pivot rows: a 1
-        # at each pivot and a 0 at every other pivot
-        pivots = [[sum(x * rows[i][c] for i, x in combo.items())
-                   for c in range(m)] for combo in red.pivot_combos()]
-        lead = [next(c for c, a in enumerate(p) if a) for p in pivots]
+        # the pivot combinations reproduce the pivot rows: the pivot
+        # scale at each pivot and a 0 at every other pivot
+        pivots = [([sum(x * rows[i][c] for i, x in combo.items())
+                    for c in range(m)], scale)
+                  for combo, scale in red.pivots()]
+        lead = [next(c for c, a in enumerate(p) if a) for p, _ in pivots]
         assert lead == sorted(lead)
-        for p in pivots:
-            assert [p[c] for c in lead] == [int(p is q) for q in pivots]
+        for p, scale in pivots:
+            assert [p[c] for c in lead] == [scale if p is q else 0
+                                             for q, _ in pivots]
+        # each combination is primitive
+        for combo, _ in red.pivots():
+            assert math.gcd(*combo.values()) == 1
 
 
 def _random_flat_system(rng, m):
@@ -480,6 +491,95 @@ def test_intersection_finds_planted_points():
             assert w in desc.points
             sublattice += len(desc.points) > 1
     assert sublattice > 50
+
+
+def _independent_rows(m, groups):
+    """The first m linearly independent equation rows, or None."""
+    rows = [row for eqs, _ in groups for row, _ in eqs]
+    if m == 1:
+        return next(([r] for r in rows if r[0]), None)
+    return next(([r, s] for r, s in itertools.combinations(rows, 2)
+                 if r[0] * s[1] - r[1] * s[0]), None)
+
+
+def _grid_oracle(m, rows, groups):
+    """Brute force over the grid (1/G) Z^m in [0, 1)^m with G = L |det A|,
+    for L the common denominator and A the m independent rows: A w = rhs
+    mod 1 puts every solution w in A^-1 (1/L) Z^m, inside the grid.
+    Returns G, the solutions w of the equations as rows G w, and per
+    open condition and solution whether the solution is strictly inside
+    and whether it is on the boundary."""
+    lcd = math.lcm(*(x.denominator for eqs, opens in groups
+                     for x in [b for _, b in eqs]
+                     + [y for op in opens for y in op[1:]]))
+    det = rows[0][0] if m == 1 else \
+        rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    g = lcd * abs(det)
+    grid = np.indices((g,) * m).reshape(m, -1)
+
+    def value(row):
+        return sum(a * grid[j] for j, a in enumerate(row))
+
+    solves = np.ones(grid.shape[1], dtype=bool)
+    for eqs, _ in groups:
+        for row, rhs in eqs:
+            solves &= (value(row) - int(rhs * g)) % g == 0
+    opens = [op for _, group_opens in groups for op in group_opens]
+    t = np.zeros((len(opens), grid.shape[1]), dtype=int)
+    top = np.zeros((len(opens), 1), dtype=int)
+    for k, (row, off, start, length) in enumerate(opens):
+        t[k] = (value(row) + int((off - start) * g)) % g
+        top[k] = int(length * g)
+    inside = (0 < t) & (t < top)
+    on = (t == 0) | (t == top)
+    return g, grid[:, solves].T, inside[:, solves], on[:, solves]
+
+
+def test_intersection_matches_grid_oracle():
+    # completeness: every grid point that satisfies the conditions
+    # strictly is returned, and a solution on a cell wall raises
+    rng = random.Random(31)
+    outcomes = {"points": 0, "empty": 0, "boundary": 0, "overlap": 0}
+    systems = 0
+    while systems < 320:
+        m = rng.choice((1, 2))
+        groups = _random_flat_system(rng, m)
+        rows = _independent_rows(m, groups)
+        if rows is None:
+            continue
+        systems += 1
+        g, solutions, inside, on = _grid_oracle(m, rows, groups)
+        strict = {tuple(F(int(x), g) for x in w)
+                  for w, ok in zip(solutions, inside.all(axis=0)) if ok}
+        walls = (inside | on).all(axis=0) & on.any(axis=0)
+        try:
+            desc = intersect_cell_groups(m, groups)
+        except errors.NonTransverse as exc:
+            if "rank-deficient" in str(exc):
+                outcomes["overlap"] += 1
+                assert len(solutions)
+            else:
+                outcomes["boundary"] += 1
+                assert on.any()
+            continue
+        assert desc.dim == 0
+        assert not walls.any()
+        assert set(desc.points) == strict
+        assert len(desc.points) == len(strict)
+        outcomes["points" if strict else "empty"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def test_translate_search_is_bounded():
+    # the rows (1000, 0), (0, 1000) need 1000^2 = 10^6 translates
+    groups = [([((1000, 0), F(1, 3)), ((0, 1000), 0)], [])]
+    start = time.perf_counter()
+    with pytest.raises(errors.TooManyTranslates) as info:
+        intersect_cell_groups(2, groups)
+    assert time.perf_counter() - start < 0.1
+    assert "D^r = 1000^2" in str(info.value)
+    assert "TRANSLATE_BOUND = %d" % morse.TRANSLATE_BOUND in str(info.value)
+    assert 1000 ** 2 > morse.TRANSLATE_BOUND >= 8 ** 2
 
 
 # --- handle decomposition -------------------------------------------------
