@@ -3,7 +3,9 @@
 One process per command; every subcommand is deterministic (identical
 argv and files give byte-identical stdout) and file outputs are written
 atomically (temp file + rename).  Exit codes: 0 success, 1 verification
-failure, 2 input/usage errors.
+failure, 2 input/usage errors (a FukayaFlowError or OSError; any other
+exception is a bug and keeps its traceback).  Each handler imports only
+the layers it runs, so numpy loads only with geometry.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 import tempfile
 
-from . import flow, fukaya, homology, links, maslov, morse
+from . import links
 from .errors import FukayaFlowError, IOFailure, MalformedArgument
 
 SCHEMA = "fukaya-flow/1"
@@ -54,8 +56,6 @@ def _add_link_input(sub: argparse.ArgumentParser, required: bool) -> None:
     group.add_argument("--fixture", help="name from the fixture catalog")
     sub.add_argument("--framings",
                      help="comma-separated integers, one per component")
-    sub.add_argument("--allow-empty", action="store_true",
-                     help="accept an empty PD code")
 
 
 def _int_list(flag: str, text: str, count: int | None = None
@@ -82,14 +82,18 @@ def _load_link(args) -> tuple[links.LinkDiagram, tuple[int, ...]]:
         diagram, framings = fl.diagram, fl.framings
     else:
         if args.file is not None:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.file, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise IOFailure("cannot read %s: %s"
+                                % (args.file, exc)) from exc
         elif args.pd is not None:
             text = args.pd
         else:
             raise MalformedArgument("no link given: pass --pd, --file or "
                                     "--fixture")
-        diagram = links.parse_pd(text, allow_empty=args.allow_empty)
+        diagram = links.parse_pd(text)
         framings = (0,) * diagram.component_count
     if args.framings is not None:
         framings = _int_list("--framings", args.framings,
@@ -127,6 +131,7 @@ def cmd_linking_matrix(args) -> int:
 
 
 def cmd_complement_homology(args) -> int:
+    from . import homology
     fl = links.FramedLink(*_load_link(args))
     result = homology.complement_homology(links.linking_matrix(fl))
     if args.format == "json":
@@ -147,14 +152,17 @@ def _category_command(args, builder) -> int:
 
 
 def cmd_flow_category(args) -> int:
+    from . import flow
     return _category_command(args, flow.build_flow_category)
 
 
 def cmd_fukaya_category(args) -> int:
+    from . import fukaya
     return _category_command(args, fukaya.build_fukaya_category)
 
 
 def cmd_verify_theorem_b(args) -> int:
+    from . import fukaya
     fl = links.FramedLink(*_load_link(args))
     report = fukaya.verify_theorem_b(fl)
     _write_out(_envelope(report.to_json()), args.out)
@@ -165,15 +173,16 @@ def cmd_verify_theorem_b(args) -> int:
     return 0
 
 
-# --pair -> the standard Morse-Bott pair; the function is looked up in
-# morse at call time, so a wrapper installed there later is the one run
-STANDARD_PAIRS = {"upper": lambda: morse.standard_upper_pair(),
-                  "lower": lambda: morse.standard_lower_pair()}
+# --pair -> morse.standard_<pair>_pair, looked up on the module at call
+# time, so a wrapper installed there later is the one run
+STANDARD_PAIRS = ("upper", "lower")
 
 
 def cmd_morse_bott(args) -> int:
+    from . import morse
     if args.mode == "case-I":
-        complex_ = morse.differential_case_I(*STANDARD_PAIRS[args.pair]())
+        pair = getattr(morse, "standard_%s_pair" % args.pair)()
+        complex_ = morse.differential_case_I(*pair)
         data = {
             "complex": complex_.to_json(),
             "homology_basis": list(complex_.homology_basis()),
@@ -201,7 +210,8 @@ def cmd_morse_bott(args) -> int:
 
 
 def cmd_cascade_diagnostics(args) -> int:
-    upper, lower, corr = STANDARD_PAIRS[args.pair]()
+    from . import morse
+    upper, lower, corr = getattr(morse, "standard_%s_pair" % args.pair)()
     if args.cascades < 0:
         raise MalformedArgument("--cascades must be at least 0, got %d"
                                 % args.cascades)
@@ -250,7 +260,10 @@ def _is_gluing(x) -> bool:
 def _json_list(flag: str, text: str, is_item, item: str) -> list:
     """A JSON list argument whose elements all pass is_item; otherwise
     MalformedArgument names the flag and the first offending element."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # or nested too deeply
+        raise MalformedArgument("%s is not JSON: %s" % (flag, exc)) from None
     if not isinstance(data, list):
         raise MalformedArgument("%s must be a JSON list, got %s"
                                 % (flag, json.dumps(data)))
@@ -262,6 +275,7 @@ def _json_list(flag: str, text: str, is_item, item: str) -> list:
 
 
 def cmd_maslov(args) -> int:
+    from . import maslov
     convention = args.convention
     if args.loop:
         breakpoints = _json_list("--loop", args.loop, _is_breakpoint,
@@ -282,6 +296,7 @@ def cmd_maslov(args) -> int:
 
 
 def cmd_glued_index(args) -> int:
+    from . import maslov
     if args.triangle_system:
         n, mu, mu_prime = _int_list("--triangle-system",
                                     args.triangle_system, 3)
@@ -313,13 +328,14 @@ def cmd_glued_index(args) -> int:
 
 
 def _check_numeric_args(args) -> None:
-    """Refuse counts below 1 and a non-finite --lambda-max: the numeric
-    checks would pass vacuously or divide by zero."""
-    for flag in ("grid_n", "samples"):
-        value = getattr(args, flag, 1)
-        if value < 1:
-            raise MalformedArgument("--%s must be at least 1, got %d"
-                                    % (flag.replace("_", "-"), value))
+    """Refuse counts below 1, a negative --seed and a non-finite
+    --lambda-max: the numeric checks would pass vacuously or divide by
+    zero, and numpy takes no negative seed."""
+    for flag, least in (("grid_n", 1), ("samples", 1), ("seed", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise MalformedArgument("--%s must be at least %d, got %d"
+                                    % (flag.replace("_", "-"), least, value))
     if args.lambda_max is not None and not math.isfinite(args.lambda_max):
         raise MalformedArgument("--lambda-max must be finite, got %s"
                                 % args.lambda_max)
@@ -327,7 +343,7 @@ def _check_numeric_args(args) -> None:
 
 def cmd_geometry_check(args) -> int:
     _check_numeric_args(args)
-    from . import geometry  # numpy is needed by the numeric checks only
+    from . import geometry
     report = geometry.geometry_report(seed=args.seed, samples=args.samples,
                                       grid_thetas=args.grid_n,
                                       lam_max=args.lambda_max)
@@ -441,7 +457,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FukayaFlowError, ValueError, KeyError, OSError) as exc:
+    except (FukayaFlowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

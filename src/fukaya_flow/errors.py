@@ -85,7 +85,8 @@ class ActionOrderViolation(FukayaFlowError):
 
 
 class UnknownComponent(FukayaFlowError):
-    """A correspondence names a critical component that is not given."""
+    """A correspondence names a critical component that is not given,
+    or does not join the two components it is given with."""
 
 
 class UnknownGenerator(FukayaFlowError):
@@ -105,6 +106,12 @@ class NotClosed(FukayaFlowError):
 
 class MismatchedPuncture(FukayaFlowError):
     """Glued punctures disagree (missing, reused, or different dimension)."""
+
+
+class InvalidIndexProblem(FukayaFlowError, ValueError):
+    """A triangle index problem has no integer solution: the gluing
+    equations need 2n - 1 + mu' even, and the vanishing-cycle triangle
+    an even base dimension of at least 2."""
 
 
 # --- numeric geometry ---
@@ -128,7 +135,8 @@ class GridTooSmall(FukayaFlowError):
 # --- quivers ---
 
 class ShapeMismatch(FukayaFlowError):
-    """A representation's matrix shapes do not match the quiver."""
+    """Matrix shapes disagree: a quiver representation's with its
+    quiver, or an evaluation map's with its cell or its target model."""
 
 
 class DimensionTooLarge(FukayaFlowError):

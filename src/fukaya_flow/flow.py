@@ -78,16 +78,6 @@ class DirectedCategoryPresentation:
     def objects(self) -> tuple[str, ...]:
         return (self.top,) + self.middles + (self.bottom,)
 
-    def hom(self, a: str, b: str) -> F2Presentation | None:
-        """Presentation of hom(a, b); None encodes the zero space."""
-        if a == self.top and b == self.bottom:
-            return self.hom_top_bottom
-        if a == self.top and b in self.middles:
-            return self.hom_top_mid[self.middles.index(b)]
-        if a in self.middles and b == self.bottom:
-            return self.hom_mid_bottom[self.middles.index(a)]
-        return None
-
     def compose(self, mid: int, u: Iterable[str] | str,
                 v: Iterable[str] | str) -> tuple[str, ...]:
         """Bilinear composition of chains through middle object mid.

@@ -14,13 +14,18 @@ express; these are needed for round unknots and split unlinks.
 parse_pd is the one place a PD code enters the program, and it accepts
 only a code that describes a link diagram in the plane.  In order, it
 rejects: a token that is not X(a,b,c,d) or O(a) over positive labels,
-or an empty code unless allow_empty (MalformedToken); a circle label
-used twice or on a crossing, or a crossing label that does not occur
-exactly twice (ArcLabelNotPairedTwice); a code whose strands cannot be
-oriented (InconsistentOrientation); and a connected piece whose face
-count is not that of a planar 4-valent graph (NonPlanarPD, naming its
-smallest crossing).  The pairing, orientation and planarity checks all
-read one arc -> (crossing, position) dart table built per parse.
+or an empty code (MalformedToken); a circle label used twice or on a
+crossing, or a crossing label that does not occur exactly twice
+(ArcLabelNotPairedTwice); a code whose strands cannot be oriented
+(InconsistentOrientation); and a connected piece whose face count is
+not that of a planar 4-valent graph (NonPlanarPD, naming its smallest
+crossing).  The pairing, orientation and planarity checks all read one
+arc -> (crossing, position) dart table built per parse.  Once they
+pass, every arc has one head and one tail, so the arc -> next arc map
+is a permutation and its cycles are the components.
+
+The fixture catalog is the packaged data/links.catalog; any other PD
+code comes in as text.
 
 All values are immutable after construction and every operation is a
 pure function.
@@ -37,7 +42,6 @@ crossings, O(n + k^2).
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -328,9 +332,6 @@ def _trace_components(quadruples, circles, over_to_b) -> tuple[tuple[int, ...], 
         seen.add(arc)
         nxt = successor[arc]
         while nxt != arc:
-            if nxt in seen:
-                raise InconsistentOrientation(
-                    "arc successor relation is not a disjoint union of cycles")
             cycle.append(nxt)
             seen.add(nxt)
             nxt = successor[nxt]
@@ -341,14 +342,12 @@ def _trace_components(quadruples, circles, over_to_b) -> tuple[tuple[int, ...], 
     return tuple(comps)
 
 
-def parse_pd(text: str, allow_empty: bool = False) -> LinkDiagram:
+def parse_pd(text: str) -> LinkDiagram:
     """Parse a PD-code string into a validated, oriented, planar
     diagram; the module docstring lists what is rejected."""
     quadruples, circles = _tokenize(text)
     if not quadruples and not circles:
-        if allow_empty:
-            return LinkDiagram((), (), (), (), ())
-        raise MalformedToken("empty PD code (pass allow_empty to accept)")
+        raise MalformedToken("empty PD code")
     circle_counts = Counter(circles)
     crossing_arcs = {arc for q in quadruples for arc in q}
     for arc in circles:
@@ -420,23 +419,11 @@ def linking_matrix(fl: FramedLink) -> LinkingMatrix:
 
 # --- fixture catalog ----------------------------------------------------
 
-def catalog_path() -> Optional[str]:
-    return os.environ.get("FUKAYA_FLOW_FIXTURES")
-
-
 def load_catalog() -> dict[str, tuple[str, tuple[int, ...]]]:
-    """Named links: name -> (pd text, default framings).
-
-    The FUKAYA_FLOW_FIXTURES environment variable overrides the
-    packaged catalog.
-    """
-    override = catalog_path()
-    if override:
-        with open(override, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = (resources.files("fukaya_flow") / "data" / "links.catalog"
-                ).read_text(encoding="utf-8")
+    """Named links of the packaged catalog: name -> (pd text, default
+    framings)."""
+    text = (resources.files("fukaya_flow") / "data" / "links.catalog"
+            ).read_text(encoding="utf-8")
     catalog = {}
     for line in text.splitlines():
         line = line.strip()

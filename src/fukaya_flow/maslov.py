@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import MismatchedPuncture, NotClosed
+from .errors import InvalidIndexProblem, MismatchedPuncture, NotClosed
 
 Angle = Union[Fraction, float, int]
 
@@ -251,8 +251,8 @@ def solve_triangle_system(n: int, mu: int, mu_prime: int
     triangle indices; returns (index_H, index_V)."""
     double_h = 2 * n - 1 + mu_prime
     if double_h % 2 != 0:
-        raise ValueError("system has no integer solution for mu'=%d"
-                         % mu_prime)
+        raise InvalidIndexProblem("system has no integer solution for "
+                                  "mu'=%d" % mu_prime)
     index_h = double_h // 2
     index_v = (n + mu) + 3 * (n - 1) - 3 * index_h
     return index_h, index_v
@@ -263,7 +263,7 @@ def vanishing_triangle_index(base_dim: int) -> dict[str, int]:
     base_dim = 2k: both Maslov inputs are -1, the fiber half-dimension
     is n = base_dim - 1, and the triangle index comes out 2k - 2."""
     if base_dim < 2 or base_dim % 2 != 0:
-        raise ValueError("base dimension must be even and >= 2")
+        raise InvalidIndexProblem("base dimension must be even and >= 2")
     n = base_dim - 1
     index_h, index_v = solve_triangle_system(n, -1, -1)
     return {"n": n, "index_H": index_h, "index_V": index_v}

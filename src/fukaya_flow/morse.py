@@ -45,8 +45,8 @@ from typing import Mapping, Optional
 from . import f2
 from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
                      DuplicateGeneratorName, NegativeCascadeCount,
-                     NonTransverse, TooManyTranslates, UnknownComponent,
-                     UnknownGenerator, UnsupportedModel)
+                     NonTransverse, ShapeMismatch, TooManyTranslates,
+                     UnknownComponent, UnknownGenerator, UnsupportedModel)
 from .links import FramedLink
 
 Frac = Fraction
@@ -242,6 +242,36 @@ class Correspondence:
     def __post_init__(self):
         if self.dim not in (0, 1, 2):
             raise UnsupportedModel("correspondence cells up to (R/Z)^2 only")
+        for side in ("ev_minus", "ev_plus"):
+            if any(len(row) != self.dim for row in getattr(self, side).rows):
+                raise ShapeMismatch("correspondence %s -> %s: %s needs %d "
+                                    "columns" % (self.source, self.target,
+                                                 side, self.dim))
+
+
+def _check_correspondence(corr: Correspondence,
+                          components: Mapping[str, CriticalComponent]
+                          ) -> None:
+    """Raise unless corr joins two of the named components, strictly
+    down in action, with one evaluation-map row per coordinate of each
+    model."""
+    missing = [n for n in (corr.source, corr.target) if n not in components]
+    if missing:
+        raise UnknownComponent(
+            "correspondence %s -> %s: no component named %s"
+            % (corr.source, corr.target, ", ".join(map(repr, missing))))
+    source, target = components[corr.source], components[corr.target]
+    if not source.action > target.action:
+        raise ActionOrderViolation(
+            "correspondence %s -> %s does not decrease the action"
+            % (corr.source, corr.target))
+    for side, comp in (("ev_minus", source), ("ev_plus", target)):
+        rows = getattr(corr, side).target_dim
+        if rows != comp.model.dim:
+            raise ShapeMismatch(
+                "correspondence %s -> %s: %s has %d rows for %s of "
+                "dimension %d" % (corr.source, corr.target, side, rows,
+                                  comp.name, comp.model.dim))
 
 
 # --------------------------------------------------------------------------
@@ -604,15 +634,12 @@ def differential_case_I(source: CriticalComponent,
     """Cascade differential for two components joined by one
     correspondence (or none, leaving the block Morse differential)."""
     if corr is not None:
-        if corr.source != source.name or corr.target != target.name:
-            raise ValueError("correspondence endpoints do not match")
-        if not source.action > target.action:
-            raise ActionOrderViolation(
-                "action(%s) must exceed action(%s)"
-                % (source.name, target.name))
-        if corr.ev_minus.target_dim != source.model.dim \
-                or corr.ev_plus.target_dim != target.model.dim:
-            raise ValueError("evaluation maps do not match the models")
+        if (corr.source, corr.target) != (source.name, target.name):
+            raise UnknownComponent(
+                "correspondence %s -> %s does not join %s -> %s"
+                % (corr.source, corr.target, source.name, target.name))
+        _check_correspondence(corr, {source.name: source,
+                                     target.name: target})
 
     gens: list[str] = []
     degrees: dict[str, int] = {}
@@ -732,19 +759,9 @@ class CascadeData:
     correspondences: tuple[Correspondence, ...]
 
     def __post_init__(self):
-        action = {c.name: c.action for c in self.components}
+        by_name = {c.name: c for c in self.components}
         for corr in self.correspondences:
-            missing = [n for n in (corr.source, corr.target)
-                       if n not in action]
-            if missing:
-                raise UnknownComponent(
-                    "correspondence %s -> %s: no component named %s"
-                    % (corr.source, corr.target,
-                       ", ".join(map(repr, missing))))
-            if not action[corr.source] > action[corr.target]:
-                raise ActionOrderViolation(
-                    "correspondence %s -> %s does not decrease the action"
-                    % (corr.source, corr.target))
+            _check_correspondence(corr, by_name)
 
 
 def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:

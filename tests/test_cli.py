@@ -70,8 +70,6 @@ def test_parse_errors_exit_2(capsys):
     assert "error" in err
     code, _, err = run(capsys, "parse-link", "--pd", "")
     assert code == 2
-    code, out, _ = run(capsys, "parse-link", "--pd", "", "--allow-empty")
-    assert code == 0
 
 
 def test_unknown_fixture_exit_2(capsys):
@@ -159,21 +157,33 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     assert "cannot write" in err
 
 
-def test_fixture_env_override(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "alt.catalog"
-    path.write_text("solo ; O(3) ; 2\n")
-    monkeypatch.setenv("FUKAYA_FLOW_FIXTURES", str(path))
-    code, out, _ = run(capsys, "linking-matrix", "--fixture", "solo")
-    assert code == 0
-    assert out == "2\n"
-
-
 def test_pd_from_file(tmp_path, capsys):
     path = tmp_path / "link.pd"
     path.write_text("X(1,3,2,4),X(3,1,4,2)\n")
     code, out, _ = run(capsys, "linking-matrix", "--file", str(path))
     assert code == 0
     assert out == "0 1\n1 0\n"
+
+
+def test_unreadable_file_exits_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.pd"
+    latin1.write_bytes(b"X(1,3,2,4),X(3,1,4,2) \xe9\n")
+    for path in (latin1, tmp_path / "missing.pd"):
+        code, out, err = run(capsys, "parse-link", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read %s: " % path)
+
+
+def test_bug_inside_a_handler_is_not_an_input_error(monkeypatch):
+    # only package errors and OSError are input errors; a KeyError from
+    # inside a layer is a bug and must reach the caller
+    def broken(fl):
+        raise KeyError("x")
+
+    monkeypatch.setattr("fukaya_flow.links.linking_matrix", broken)
+    with pytest.raises(KeyError):
+        main(["linking-matrix", "--fixture", "hopf"])
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -187,7 +197,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         return fukaya_mod.TheoremBReport(report.dictionary, False,
                                          ("forced mismatch",))
 
-    monkeypatch.setattr("fukaya_flow.cli.fukaya.verify_theorem_b", fake)
+    monkeypatch.setattr("fukaya_flow.fukaya.verify_theorem_b", fake)
     code, out, err = run(capsys, "verify-theorem-b", "--fixture", "unknot")
     assert code == 1
     assert "forced mismatch" in err
@@ -209,6 +219,8 @@ def _python(*args):
     ("glued-index", "--parts", "[1]"),
     ("glued-index", "--parts", "[]", "--gluings", "[1]"),
     ("glued-index",),
+    ("glued-index", "--triangle-system", "2,2,0"),
+    ("glued-index", "--base-dim", "3"),
     ("emit-figure", "--grid-n", "0"),
     ("emit-figure", "--grid-n", "-3"),
     ("emit-figure", "--lambda-max", "inf"),
@@ -221,6 +233,45 @@ def test_malformed_json_arguments_exit_2(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+_BASE = {"cli", "errors", "links"}
+_CATEGORIES = _BASE | {"f2", "homology", "flow"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (("parse-link", "--fixture", "hopf"), _BASE),
+    (("linking-matrix", "--fixture", "hopf"), _BASE),
+    (("complement-homology", "--fixture", "hopf"),
+     _BASE | {"f2", "homology"}),
+    (("flow-category", "--fixture", "hopf"), _CATEGORIES),
+    (("fukaya-category", "--fixture", "hopf"), _CATEGORIES | {"fukaya"}),
+    (("verify-theorem-b", "--fixture", "hopf"), _CATEGORIES | {"fukaya"}),
+    (("morse-bott", "case-I"), _BASE | {"f2", "morse"}),
+    (("morse-bott", "handles", "--fixture", "hopf"), _BASE | {"f2", "morse"}),
+    (("cascade-diagnostics", "--source", "x2", "--target", "a0"),
+     _BASE | {"f2", "morse"}),
+    (("maslov", "--loop", "[[0,0],[1,2]]"), _BASE | {"maslov"}),
+    (("glued-index", "--base-dim", "4"), _BASE | {"maslov"}),
+    (("geometry-check", "--samples", "5", "--grid-n", "8"),
+     _BASE | {"geometry", "numpy"}),
+    (("emit-figure", "--grid-n", "4"), _BASE | {"geometry", "numpy"}),
+])
+def test_subcommand_loads_only_its_layers(argv, layers):
+    proc = _python("-c", "import sys; from fukaya_flow import cli; "
+                   "rc = cli.main(%r); print(rc, sorted("
+                   "m.split('.')[1] if '.' in m else m for m in sys.modules "
+                   "if m.startswith('fukaya_flow.') or m == 'numpy'))"
+                   % (list(argv),))
+    rc, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert rc == "0", proc.stderr
+    assert loaded == str(sorted(layers))
+
+
+def test_package_root_loads_no_submodule():
+    proc = _python("-c", "import sys, fukaya_flow; print(sorted("
+                   "m for m in sys.modules if m.startswith('fukaya_')))")
+    assert proc.stdout == "['fukaya_flow']\n", proc.stderr
 
 
 def test_exact_pipeline_does_not_import_numpy():
@@ -246,6 +297,11 @@ def test_unknown_cascade_generator_exit_2():
     (("glued-index", "--triangle-system", "1,2,z"), "--triangle-system"),
     (("cascade-diagnostics", "--source", "x2", "--target", "a0",
       "--cascades", "-1"), "--cascades"),
+    (("maslov", "--loop", "[[0,0],"), "--loop"),
+    (("maslov", "--arcs", "[[[0,0]"), "--arcs"),
+    (("maslov", "--arcs", "[" * 100000), "--arcs"),
+    (("glued-index", "--parts", "{"), "--parts"),
+    (("geometry-check", "--seed=-1"), "--seed"),
 ])
 def test_bad_flag_values_name_the_flag(argv, flag):
     proc = _python("-m", "fukaya_flow.cli", *argv)

@@ -66,14 +66,6 @@ def test_bilinearity_exhaustive(name, framings):
                 assert pres.canonicalize(left) == pres.canonicalize(right)
 
 
-def test_directedness_structure():
-    cat = build_flow_category(fixture("hopf"))
-    assert cat.hom(cat.bottom, cat.top) is None
-    assert cat.hom(cat.middles[0], cat.top) is None
-    assert cat.hom(cat.middles[0], cat.middles[1]) is None
-    assert cat.hom(cat.top, cat.middles[1]) is not None
-
-
 def test_constructor_canonicalises_and_checks_keys():
     fields = dict(
         top="t", middles=("m1", "m2"), bottom="b",

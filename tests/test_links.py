@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fukaya_flow import errors, links
-from fukaya_flow.links import (FramedLink, fixture, fixture_names,
-                               linking_matrix, linking_number, parse_pd,
-                               self_writhe)
+from fukaya_flow.links import (FramedLink, LinkDiagram, fixture,
+                               fixture_names, linking_matrix, linking_number,
+                               parse_pd, self_writhe)
 from helpers import reverse_component
 
 HOPF = "X(1,3,2,4),X(3,1,4,2)"
@@ -27,9 +27,6 @@ def test_parse_two_crossing_two_component():
 def test_parse_empty_requires_flag():
     with pytest.raises(errors.MalformedToken):
         parse_pd("")
-    d = parse_pd("", allow_empty=True)
-    assert d.component_count == 0
-    assert d.crossings == ()
 
 
 def test_parse_arity_violation():
@@ -137,7 +134,7 @@ def test_framings_length_checked():
     with pytest.raises(ValueError):
         FramedLink(parse_pd(HOPF), (0,))
     with pytest.raises(ValueError):
-        FramedLink(parse_pd("", allow_empty=True), ())
+        FramedLink(LinkDiagram((), (), (), (), ()), ())
 
 
 def test_symmetry_on_all_fixtures():
@@ -218,16 +215,6 @@ def test_fixture_framings_override():
 def test_unknown_fixture():
     with pytest.raises(KeyError):
         fixture("not-a-link")
-
-
-def test_catalog_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "alt.catalog"
-    path.write_text("ring ; O(9) ; 4\n")
-    monkeypatch.setenv("FUKAYA_FLOW_FIXTURES", str(path))
-    fl = fixture("ring")
-    assert fl.framings == (4,)
-    with pytest.raises(KeyError):
-        fixture("hopf")
 
 
 # --- the linking matrix against an independent count ---------------------

@@ -312,6 +312,29 @@ def test_cascade_data_names_missing_component():
         CascadeData((upper, lower), (corr,))
 
 
+def test_evaluation_map_shapes_checked():
+    upper, lower, _ = standard_upper_pair()
+    # rows must have one column per coordinate of the cell
+    with pytest.raises(errors.ShapeMismatch, match="ev_minus needs 1 col"):
+        Correspondence("Sigma42", "K+", 1, identity_map(2),
+                       projection_map(2, 0))
+    # one row per coordinate of the model mapped into: the circle K+ and
+    # the torus Sigma42
+    for corr, side in (
+            (Correspondence("Sigma42", "K+", 2, identity_map(2),
+                            identity_map(2)), "ev_plus has 2 rows"),
+            (Correspondence("Sigma42", "K+", 2, projection_map(2, 0),
+                            projection_map(2, 0)), "ev_minus has 1 rows")):
+        with pytest.raises(errors.ShapeMismatch, match=side):
+            CascadeData((upper, lower), (corr,))
+        with pytest.raises(errors.ShapeMismatch, match=side):
+            differential_case_I(upper, lower, corr)
+    other = Correspondence("Sigma20", "K-", 2, identity_map(2),
+                           projection_map(2, 1))
+    with pytest.raises(errors.UnknownComponent, match="does not join"):
+        differential_case_I(upper, lower, other)
+
+
 def test_repeated_generator_names_rejected():
     upper, _, _ = standard_upper_pair()
     twin = CriticalComponent("T2", square_torus("x", F(1, 8)), F(0))
