@@ -20,9 +20,13 @@ class ArcLabelNotPairedTwice(FukayaFlowError):
 
 
 class InconsistentOrientation(FukayaFlowError):
-    """No consistent strand orientation exists for the diagram.
-    links.parse_pd names the arc with two heads or two tails and the
-    crossings (1-based) at its ends."""
+    """No consistent strand orientation exists for the diagram: some
+    strand cannot run a -> c through every crossing it passes under.
+    links.parse_pd names one witness arc and the crossings (1-based) at
+    its ends: an arc under at position 0 at both ends has two heads, one
+    under at position 2 at both ends has two tails, and otherwise the
+    arc along which a strand walk reaches an under-passage at position 2
+    has two tails."""
 
 
 class NonPlanarPD(FukayaFlowError):

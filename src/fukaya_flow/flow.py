@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 
 from .homology import ComplementHomology, F2Presentation, \
     complement_homology
-from .links import FramedLink, LinkingMatrix, linking_matrix
+from .links import FramedLink, linking_matrix
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ class DirectedCategoryPresentation:
     # (middle index, generator of hom(top,mid), generator of hom(mid,bottom))
     # -> support in hom(top,bottom), stored in the canonical basis
     table: Mapping[tuple[int, str, str], tuple[str, ...]]
-    # the framed linking data the category was built from, when link-built
-    linking: LinkingMatrix | None = None
 
     def __post_init__(self):
         k = len(self.middles)
@@ -181,7 +179,6 @@ def build_flow_category(fl: FramedLink) -> DirectedCategoryPresentation:
         hom_mid_bottom=tuple(map(F2Presentation, names["mid_bottom"])),
         hom_top_bottom=_complement_presentation(complement_homology(matrix)),
         table=table,
-        linking=matrix,
     )
 
 

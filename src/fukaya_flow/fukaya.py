@@ -87,7 +87,6 @@ def build_fukaya_category(fl: FramedLink) -> DirectedCategoryPresentation:
         hom_mid_bottom=tuple(map(F2Presentation, names["mid_bottom"])),
         hom_top_bottom=F2Presentation(gens, rels),
         table=table,
-        linking=matrix,
     )
 
 

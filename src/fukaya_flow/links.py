@@ -3,9 +3,9 @@
 PD convention: each crossing is a quadruple X(a,b,c,d) of arc labels
 listed counter-clockwise starting from the incoming under-strand, so the
 under-strand runs a -> c and the over-strand occupies positions b, d.
-The over-strand direction is resolved globally (every arc has exactly
-one head and one tail); a crossing is positive when the over-strand
-runs d -> b.
+The over-strand direction follows from walking each strand, which
+passes straight through every crossing; a crossing is positive when
+the over-strand runs d -> b.
 
 The grammar also accepts O(a) tokens for crossingless circle
 components (a is a fresh arc label), which plain quadruples cannot
@@ -20,9 +20,10 @@ crossing, or a crossing label that does not occur exactly twice
 (InconsistentOrientation); and a connected piece whose face count is
 not that of a planar 4-valent graph (NonPlanarPD, naming its smallest
 crossing).  The pairing, orientation and planarity checks all read one
-arc -> (crossing, position) dart table built per parse.  Once they
-pass, every arc has one head and one tail, so the arc -> next arc map
-is a permutation and its cycles are the components.
+dart table built per parse, which pairs each arc end (crossing,
+position) with the other end of its arc.  A strand that enters a
+crossing at position p leaves it at p + 2 mod 4, so one walk per
+component orients it and lists its arcs in circuit order.
 
 The fixture catalog is the packaged data/links.catalog; any other PD
 code comes in as text.
@@ -33,15 +34,14 @@ pure function.
 Cost: a diagram computes its arc -> component map and a per-crossing
 (under, over) component table once, on first use, and every consumer
 (crossing_components, linking_number, self_writhe, linking_matrix)
-reads that table.  Parsing is linear in the number n of crossings (the
-planarity check is a union-find and one walk over the 4n darts), and
-the linking matrix of a k-component diagram is one pass over the
-crossings, O(n + k^2).
+reads that table.  Parsing is linear in the number n of crossings: the
+strand walks enter each crossing twice, and the planarity check is a
+union-find and one walk over the 4n darts.  The linking matrix of a
+k-component diagram is one pass over the crossings, O(n + k^2).
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -189,102 +189,86 @@ def _tokenize(text: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
     return quadruples, circles
 
 
-_Darts = dict[int, list[tuple[int, int]]]
-
-
-def _dart_table(quadruples: list[tuple[int, int, int, int]]) -> _Darts:
-    """arc -> its two ends (crossing, position); raises
-    ArcLabelNotPairedTwice unless every label occurs exactly twice."""
-    ends: _Darts = {}
-    for ci, quad in enumerate(quadruples):
-        for p, arc in enumerate(quad):
-            ends.setdefault(arc, []).append((ci, p))
+def _dart_table(labels: list[int]) -> list[int]:
+    """The partner of each dart: dart 4 ci + p is the end at crossing
+    ci, position p, of the arc labels[4 ci + p], and partner[dart] is
+    the other end of that arc.  Raises ArcLabelNotPairedTwice unless
+    every label occurs exactly twice."""
+    ends: dict[int, list[int]] = {}
+    for dart, arc in enumerate(labels):
+        ends.setdefault(arc, []).append(dart)
+    partner = [0] * len(labels)
     for arc, occ in ends.items():
         if len(occ) != 2:
             raise ArcLabelNotPairedTwice(
                 "arc %d occurs %d times" % (arc, len(occ)))
-    return ends
+        partner[occ[0]], partner[occ[1]] = occ[1], occ[0]
+    return partner
 
 
-def _resolve_orientations(quadruples: list[tuple[int, int, int, int]],
-                          ends: _Darts) -> list[bool]:
-    """Decide, per crossing, whether the over-strand runs d -> b.
+def _two_ends(arc: int, role: str, x: int, y: int) -> InconsistentOrientation:
+    return InconsistentOrientation(
+        "arc %d has two %s, at crossings %d and %d"
+        % ((arc, role) + tuple(sorted((x // 4 + 1, y // 4 + 1)))))
 
-    Position 0 is always an arc head (the arc ends there) and position 2
-    a tail.  For positions 1 and 3 exactly one is a head; propagating
-    "each arc has one head and one tail" fixes the choice up to
-    components that only ever cross over, which get a deterministic
-    free choice.
+
+def _walk_strands(labels: list[int], partner: list[int]
+                  ) -> tuple[list[bool], list[tuple[int, ...]]]:
+    """Orient every strand: per crossing, whether the over-strand runs
+    d -> b, and the arcs of each crossing component in circuit order,
+    from its smallest.
+
+    A strand that comes into a crossing at position p leaves it at
+    p ^ 2, so one step from the dart it enters at is partner[dart ^ 2].
+    A component that passes under somewhere is walked from the first
+    crossing where it does, entering at position 0, and must enter every
+    under-passage at 0; one that only crosses over is walked from its
+    lowest crossing, leaving along the smaller over-arc there.  An arc
+    that lies under at both ends in the same position is named first.
     """
-    # over_head[c] is 1 or 3: the over position where an arc comes in.
-    over_head: dict[int, int] = {}
-    # role of an endpoint: True = head (arc ends), False = tail.
-    def known_role(ci: int, p: int) -> Optional[bool]:
-        if p == 0:
-            return True
-        if p == 2:
-            return False
-        if ci in over_head:
-            return over_head[ci] == p
-        return None
+    for dart in range(0, len(labels), 2):
+        if partner[dart] % 4 == dart % 4:
+            raise _two_ends(labels[dart], "tails" if dart % 4 else "heads",
+                            dart, partner[dart])
+    over_to_b = [False] * (len(labels) // 4)
+    entered = [False] * len(labels)
+    components = []
 
-    def other_end(arc: int, ci: int, p: int) -> tuple[int, int]:
-        occ = ends[arc]
-        return occ[1] if occ[0] == (ci, p) else occ[0]
+    def walk(dart: int) -> None:
+        arcs = []
+        while not entered[dart]:
+            entered[dart] = True
+            if dart % 2:
+                over_to_b[dart // 4] = dart % 4 == 3
+            out = dart ^ 2
+            arcs.append(labels[out])
+            dart = partner[out]
+            if dart % 4 == 2:
+                raise _two_ends(labels[out], "tails", out, dart)
+        start = arcs.index(min(arcs))
+        components.append(tuple(arcs[start:] + arcs[:start]))
 
-    # callers pass only undecided crossings
-    def set_over_head(ci: int, p: int, queue: list[int]) -> None:
-        over_head[ci] = p
-        queue.append(ci)
-
-    queue = list(range(len(quadruples)))
-    # crossings below first_free are all decided; over_head only grows
-    first_free = 0
-    while True:
-        while queue:
-            ci = queue.pop()
-            quad = quadruples[ci]
-            for p in range(4):
-                role = known_role(ci, p)
-                if role is None:
-                    continue
-                oc, op = other_end(quad[p], ci, p)
-                # opposite role at the other end of the arc
-                want_head = not role
-                other_role = known_role(oc, op)
-                if other_role is None:
-                    # op is 1 or 3 at an undecided crossing
-                    set_over_head(oc, op if want_head else (4 - op), queue)
-                elif other_role != want_head:
-                    raise InconsistentOrientation(
-                        "arc %d has two %s, at crossings %d and %d"
-                        % ((quad[p], "heads" if role else "tails")
-                           + tuple(sorted((ci + 1, oc + 1)))))
-        while first_free < len(quadruples) and first_free in over_head:
-            first_free += 1
-        if first_free == len(quadruples):
-            break
-        # components that only cross over: free choice, made deterministic
-        # by letting the smaller over-arc of the first undecided crossing
-        # leave it (the other over position takes the incoming role)
-        ci = first_free
-        smallest_pos = 1 if quadruples[ci][1] <= quadruples[ci][3] else 3
-        set_over_head(ci, 4 - smallest_pos, queue)
-    return [over_head[ci] == 3 for ci in range(len(quadruples))]
+    for dart in range(0, len(labels), 4):
+        if not entered[dart]:
+            walk(dart)
+    for dart in range(1, len(labels), 4):
+        if not entered[dart] and not entered[dart + 2]:
+            walk(dart + 2 if labels[dart] <= labels[dart + 2] else dart)
+    return over_to_b, components
 
 
-def _check_planar(quadruples: list[tuple[int, int, int, int]],
-                  ends: _Darts) -> None:
+def _check_planar(partner: list[int]) -> None:
     """Raise NonPlanarPD unless each connected piece of the diagram, with
     V crossings and E = 2V arcs, has the E - V + 2 faces of a planar
     4-valent graph.
 
-    A dart (ci, p) is an arrival at crossing ci along the arc in
-    position p; a face walk turns counter-clockwise and leaves via the
-    arc at position p + 1.  The error names the smallest crossing
-    (1-based) of a piece that fails.
+    A dart is an arrival at its crossing along its arc; a face walk
+    turns counter-clockwise and leaves via the arc at the next position,
+    so one step from dart 4 ci + p is partner[4 ci + (p + 1) % 4].  The
+    error names the smallest crossing (1-based) of a piece that fails.
     """
-    parent = list(range(len(quadruples)))
+    n = len(partner) // 4
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -292,54 +276,26 @@ def _check_planar(quadruples: list[tuple[int, int, int, int]],
             i = parent[i]
         return i
 
-    for (a, _), (b, _) in ends.values():
-        parent[find(a)] = find(b)
-    roots = [find(ci) for ci in range(len(quadruples))]
+    for dart, other in enumerate(partner):
+        parent[find(dart // 4)] = find(other // 4)
+    roots = [find(ci) for ci in range(n)]
     sizes = Counter(roots)
     faces: Counter = Counter()
-    seen: set[tuple[int, int]] = set()
-    for dart in itertools.product(range(len(quadruples)), range(4)):
-        if dart in seen:
+    seen = [False] * len(partner)
+    for first in range(len(partner)):
+        if seen[first]:
             continue
-        faces[roots[dart[0]]] += 1
-        while dart not in seen:
-            seen.add(dart)
-            ci, q = dart[0], (dart[1] + 1) % 4
-            a, b = ends[quadruples[ci][q]]
-            dart = b if a == (ci, q) else a
+        faces[roots[first // 4]] += 1
+        dart = first
+        while not seen[dart]:
+            seen[dart] = True
+            dart = partner[dart - dart % 4 + (dart + 1) % 4]
     for ci, root in enumerate(roots):
         if faces[root] != sizes[root] + 2:
             raise NonPlanarPD(
                 "crossing %d: its piece of %d crossings has %d faces, "
                 "expected %d; the PD code is not planar"
                 % (ci + 1, sizes[root], faces[root], sizes[root] + 2))
-
-
-def _trace_components(quadruples, circles, over_to_b) -> tuple[tuple[int, ...], ...]:
-    successor: dict[int, int] = {}
-    for ci, (a, b, c, d) in enumerate(quadruples):
-        successor[a] = c
-        if over_to_b[ci]:
-            successor[d] = b
-        else:
-            successor[b] = d
-    comps = []
-    seen: set[int] = set()
-    for arc in successor:
-        if arc in seen:
-            continue
-        cycle = [arc]
-        seen.add(arc)
-        nxt = successor[arc]
-        while nxt != arc:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = successor[nxt]
-        start = cycle.index(min(cycle))
-        comps.append(tuple(cycle[start:] + cycle[:start]))
-    comps.extend((a,) for a in circles)
-    comps.sort(key=lambda c: c[0])
-    return tuple(comps)
 
 
 def parse_pd(text: str) -> LinkDiagram:
@@ -349,20 +305,21 @@ def parse_pd(text: str) -> LinkDiagram:
     if not quadruples and not circles:
         raise MalformedToken("empty PD code")
     circle_counts = Counter(circles)
-    crossing_arcs = {arc for q in quadruples for arc in q}
+    labels = [arc for q in quadruples for arc in q]
+    crossing_arcs = set(labels)
     for arc in circles:
         if circle_counts[arc] > 1 or arc in crossing_arcs:
             raise ArcLabelNotPairedTwice(
                 "circle arc %d reused elsewhere" % arc)
-    ends = _dart_table(quadruples)
-    over_to_b = _resolve_orientations(quadruples, ends)
-    _check_planar(quadruples, ends)
-    components = _trace_components(quadruples, circles, over_to_b)
+    partner = _dart_table(labels)
+    over_to_b, components = _walk_strands(labels, partner)
+    _check_planar(partner)
     signs = tuple(1 if o else -1 for o in over_to_b)
     # store quadruples as given; the under direction a -> c already
     # matches the resolved orientation by convention
     return LinkDiagram(tuple(tuple(q) for q in quadruples), tuple(circles),
-                       components, tuple(over_to_b), signs)
+                       tuple(sorted(components + [(a,) for a in circles])),
+                       tuple(over_to_b), signs)
 
 
 def _halve(total: int, i: int, j: int) -> int:

@@ -793,7 +793,7 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
         desc = _pull_back(comp_x.model.dim,
                           (ident, comp_x.model.cells(x, False)),
                           (ident, comp_x.model.cells(y, True)))
-        if desc.empty and desc.dim == 0:
+        if desc.empty:
             return []
         return [{"cascades": 0, "component": comp_x.name,
                  "dim": desc.dim,
@@ -815,7 +815,7 @@ def cascade_moduli(data: CascadeData, x: str, y: str, k: int) -> list[dict]:
         desc = _pull_back(corr.dim,
                           (corr.ev_minus, comp_x.model.cells(x, False)),
                           (corr.ev_plus, comp_y.model.cells(y, True)))
-        if desc.empty and desc.dim == 0:
+        if desc.empty:
             continue
         out.append({"cascades": 1,
                     "through": [corr.source, corr.target],

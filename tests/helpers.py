@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from fukaya_flow.flow import DirectedCategoryPresentation, \
     flow_generator_names
-from fukaya_flow.links import LinkDiagram, _trace_components
+from fukaya_flow.links import LinkDiagram, LinkingMatrix
 
 
 def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
@@ -28,8 +28,10 @@ def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
             over = not over
         new_quads.append(quad)
         new_over.append(over)
-    components = _trace_components(list(new_quads), list(diagram.circles),
-                                   new_over)
+    # the same arcs in the opposite circuit order, still from the smallest
+    components = tuple(
+        (c[0],) + c[:0:-1] if i == comp else c
+        for i, c in enumerate(diagram.components))
     signs = tuple(1 if o else -1 for o in new_over)
     return LinkDiagram(tuple(new_quads), diagram.circles, components,
                        tuple(new_over), signs)
@@ -51,21 +53,23 @@ class CompositeRelation:
         return pres.canonicalize(acc) == 0
 
 
-def relation_table(cat: DirectedCategoryPresentation
+def relation_table(cat: DirectedCategoryPresentation, matrix: LinkingMatrix
                    ) -> list[CompositeRelation]:
-    """The relation families among the composite classes, coefficients
-    reduced mod 2:
+    """The relation families among the composite classes of the flow
+    category built from a framed link with linking matrix `matrix`,
+    coefficients reduced mod 2:
 
     - the [K+^j][K-^j] products sum to zero;
     - all [p+^j][p-^j] products agree;
     - [p+^j][K-^j] equals m_j [K+^j][p-^j] plus the [K+^i][p-^i] of the
       components linking j oddly.
     """
-    matrix = cat.linking
-    if matrix is None:
-        raise ValueError("relation_table needs a link-built category")
-    k = len(cat.middles)
+    k = matrix.size
     names = flow_generator_names(k)
+    if [p.generators for p in cat.hom_top_mid] != \
+            [tuple(g) for g in names["top_mid"]]:
+        raise ValueError("relation_table needs the flow category of a "
+                         "%d-component link" % k)
     rels = [CompositeRelation(
         "sum_KK",
         tuple((j, names["top_mid"][j][0], names["mid_bottom"][j][0])

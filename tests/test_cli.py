@@ -311,6 +311,8 @@ def test_bad_flag_values_name_the_flag(argv, flag):
 
 
 NONPLANAR = "X(1,3,2,4),X(2,4,3,1)"
+# arc 1 enters both crossings as the under-strand
+UNORIENTABLE = "X(1,2,3,4),X(1,3,2,4)"
 
 LINK_SUBCOMMANDS = (("parse-link",), ("linking-matrix",),
                     ("complement-homology",), ("flow-category",),
@@ -325,6 +327,8 @@ LINK_SUBCOMMANDS = (("parse-link",), ("linking-matrix",),
     (("parse-link", "--fixture", "hopf", "--framings", "1,2,3"),
      "--framings"),
     (("morse-bott", "handles"), "--pd"),
+    *((command + ("--pd", UNORIENTABLE), "arc 1")
+      for command in LINK_SUBCOMMANDS),
 ])
 def test_bad_link_input_exits_2(argv, names):
     proc = _python("-m", "fukaya_flow.cli", *argv)

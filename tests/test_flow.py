@@ -8,7 +8,7 @@ import pytest
 from fukaya_flow.flow import (DirectedCategoryPresentation,
                               build_flow_category, rp2_category)
 from fukaya_flow.homology import F2Presentation
-from fukaya_flow.links import fixture
+from fukaya_flow.links import fixture, linking_matrix
 from helpers import relation_table
 
 
@@ -101,16 +101,18 @@ def test_hom_ranks():
 
 
 def test_relation_table_unknot():
-    cat = build_flow_category(fixture("unknot", (1,)))
-    rels = relation_table(cat)
+    fl = fixture("unknot", (1,))
+    cat = build_flow_category(fl)
+    rels = relation_table(cat, linking_matrix(fl))
     names = [r.name for r in rels]
     assert names == ["sum_KK", "pK_1"]
     assert all(r.holds(cat) for r in rels)
 
 
 def test_relation_table_chain():
-    cat = build_flow_category(fixture("3-chain", (0, 1, 0)))
-    rels = {r.name: r for r in relation_table(cat)}
+    fl = fixture("3-chain", (0, 1, 0))
+    cat = build_flow_category(fl)
+    rels = {r.name: r for r in relation_table(cat, linking_matrix(fl))}
     # middle component links both ends once:
     # p+^2 K-^2 = m_2 K+^2 p-^2 + K+^1 p-^1 + K+^3 p-^3
     pk2 = rels["pK_2"]
@@ -122,16 +124,22 @@ def test_relation_table_chain():
 
 
 def test_relation_table_pp_family():
-    cat = build_flow_category(fixture("3-unlink", (1, 0, 2)))
-    rels = {r.name for r in relation_table(cat)}
-    assert {"pp_2_equals_pp_1", "pp_3_equals_pp_1"} <= rels
-    for rel in relation_table(cat):
+    fl = fixture("3-unlink", (1, 0, 2))
+    cat = build_flow_category(fl)
+    rels = relation_table(cat, linking_matrix(fl))
+    assert {"pp_2_equals_pp_1", "pp_3_equals_pp_1"} <= {r.name for r in rels}
+    for rel in rels:
         assert rel.holds(cat)
 
 
 def test_relation_table_requires_link_category():
-    with pytest.raises(ValueError):
-        relation_table(rp2_category())
+    unknot = linking_matrix(fixture("unknot"))
+    with pytest.raises(ValueError, match="1-component link"):
+        relation_table(rp2_category(), unknot)
+    # a link-built category with a matrix of the wrong size
+    hopf = fixture("hopf")
+    with pytest.raises(ValueError, match="1-component link"):
+        relation_table(build_flow_category(hopf), unknot)
 
 
 def test_rp2_fixture_table():

@@ -69,6 +69,16 @@ def test_inconsistent_orientation_names_the_crossings():
         parse_pd(hopf + "X(5,6,7,8),X(6,8,7,5)")
 
 
+def test_over_only_component_leaves_along_smaller_over_arc():
+    # the closure of s1 s1^-1 s1 s1^-1: arcs 2, 3, 6, 7 pass only over,
+    # so their direction is free; at their lowest crossing, X(2,4,3,1),
+    # the smaller over-arc 1 leaves, so the strand runs 1 -> 8 -> 5 -> 4
+    d = parse_pd("X(2,4,3,1),X(3,4,6,5),X(6,8,7,5),X(7,8,2,1)")
+    assert d.components == ((1, 8, 5, 4), (2, 3, 6, 7))
+    assert d.over_to_b == (False, True, False, True)
+    assert d.signs == (-1, 1, -1, 1)
+
+
 def test_nonplanar_pd_rejected():
     with pytest.raises(errors.NonPlanarPD, match="crossing 1: .* 2 faces, "
                                                  "expected 4"):
@@ -307,6 +317,25 @@ def test_linking_matrix_matches_over_count(fl):
             assert m[i][i] == fl.framings[i]
         else:
             assert m[i][j] == over_count(d, i, j) == linking_number(d, i, j)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(shuffled_unions())
+def test_components_follow_the_crossings(fl):
+    # read off the stored crossings alone: the under-strand runs a -> c,
+    # the over-strand d -> b when over_to_b is set and b -> d otherwise;
+    # a crossingless circle's one arc follows itself
+    d = fl.diagram
+    follows = {(a, a) for a in d.circles}
+    for (a, b, c, e), to_b in zip(d.crossings, d.over_to_b):
+        follows |= {(a, c), (e, b) if to_b else (b, e)}
+    steps = {(comp[i - 1], comp[i]) for comp in d.components
+             for i in range(len(comp))}
+    assert steps == follows
+    arcs = [a for comp in d.components for a in comp]
+    assert sorted(arcs) == sorted({a for q in d.crossings for a in q}
+                                  | set(d.circles))
+    assert all(comp[0] == min(comp) for comp in d.components)
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -176,6 +176,24 @@ def test_cascade_moduli_k1_matches_case_one():
             assert zero_dim_points % 2 == expected
 
 
+@pytest.mark.parametrize("pair,x,y,k", [
+    ("upper", "x1", "x1'", 0), ("upper", "x1'", "x1", 0),
+    ("upper", "x1", "a1", 1),
+    ("lower", "y1", "y1'", 0), ("lower", "y1'", "y1", 0),
+    ("lower", "y1'", "b1", 1)])
+def test_cascade_moduli_drops_empty_positive_dimensional(pair, x, y, k):
+    # one coordinate is pinned twice: in the upper pair U(x1) needs
+    # w0 = 0, S(x1') needs w0 = 1/2 and S(a1) pulls back to w0 = 3/4, and
+    # the lower pair pins a coordinate the same way.  The equations have
+    # rank 1 < 2 and no solution: no moduli space, where the consistent
+    # rank-1 overlaps from the top generator are 1-dimensional
+    upper, lower, corr = getattr(morse, "standard_%s_pair" % pair)()
+    data = CascadeData((upper, lower), (corr,))
+    assert cascade_moduli(data, x, y, k) == []
+    top = upper.generator_names()[-1]
+    assert [c["dim"] for c in cascade_moduli(data, top, y, k)] == [1]
+
+
 def test_cascade_moduli_k2_empty():
     upper, lower, corr = standard_upper_pair()
     data = CascadeData((upper, lower), (corr,))
