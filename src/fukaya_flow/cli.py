@@ -230,7 +230,10 @@ def cmd_cascade_diagnostics(args) -> int:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    # within the float range, so an integer angle mixes with float ones
+    # and a glued index stays printable
+    return (isinstance(x, int) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _is_number(x) -> bool:
@@ -277,9 +280,10 @@ def _json_list(flag: str, text: str, is_item, item: str) -> list:
 def cmd_maslov(args) -> int:
     from . import maslov
     convention = args.convention
-    if args.loop:
+    if args.loop is not None:
         breakpoints = _json_list("--loop", args.loop, _is_breakpoint,
-                                 "a [t, angle] pair of finite numbers")
+                                 "a [t, angle] pair of finite floats or "
+                                 "integers within the float range")
         loop = maslov.LagrangianLineLoop(
             tuple((t, a) for t, a in breakpoints), convention)
         value = maslov.maslov_of_loop(loop)
@@ -314,11 +318,11 @@ def cmd_glued_index(args) -> int:
     parts_data = _json_list(
         "--parts", args.parts, _is_part,
         "an object {name: string, index: integer, "
-        "punctures: {string: integer}}")
+        "punctures: {string: integer}}, integers within the float range")
     gluings_data = _json_list(
         "--gluings", args.gluings, _is_gluing,
         "four strings [part, puncture, part, puncture]"
-    ) if args.gluings else []
+    ) if args.gluings is not None else []
     parts = [maslov.OperatorPart(p["name"], p["index"],
                                  dict(p.get("punctures", {})))
              for p in parts_data]

@@ -143,11 +143,19 @@ class ShapeMismatch(FukayaFlowError):
     quiver, or an evaluation map's with its cell or its target model."""
 
 
+class MalformedQuiver(FukayaFlowError, ValueError):
+    """A quiver presentation is not well formed: an arrow name repeats,
+    an arrow ends at a non-vertex, or a relation has an empty path, a
+    path that names an unknown arrow or is not composable, or paths
+    with different endpoints.  The message names the arrow, vertex or
+    path at fault."""
+
+
 class DimensionTooLarge(FukayaFlowError):
     """A search exceeds its named bound: quiver.isomorphic walks at most
     2^HOM_DIM_BOUND elements of Hom(rep1, rep2), and the message names
-    dim Hom and the bound; quiver._gl, the oracle's group enumeration,
-    is capped at dimension 3."""
+    dim Hom and the bound; the test oracle's GL(n, F2) enumeration is
+    capped at dimension 3."""
 
 
 # --- command line ---

@@ -92,7 +92,8 @@ class DirectedCategoryPresentation:
         for gu in u:
             for gv in v:
                 acc ^= target.vector(self.table.get((mid, gu, gv), ()))
-        return target.names(target.canonicalize(acc))
+        # the entries are canonical: no pivot bits, so neither has acc
+        return target.names(acc)
 
     def compose_cross(self, mid_u: int, u: str, mid_v: int, v: str
                       ) -> tuple[str, ...]:

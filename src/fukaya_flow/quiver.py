@@ -4,35 +4,42 @@ field.
 A relation is a mod-2 sum of paths with common endpoints that must
 evaluate to zero in any representation.  Paths are tuples of arrow
 names in diagrammatic order (first arrow applied first), so a path
-(a, b) evaluates to matrix(b) @ matrix(a).
+(a, b) evaluates to matrix(b) @ matrix(a).  A presentation indexes its
+arrows by name once; a repeated name, an arrow to a non-vertex, or an
+empty, unknown or non-composable path raises MalformedQuiver.
 
 Matrices are tuples of row bitmasks, as in f2: bit j of row i is the
 entry in column j, a product is a sum of rows and inverses come from
 the f2 eliminator's row combinations.
 
-Representations are checked exactly.  Isomorphism is decided through
-the Hom space, after Brooksbank-Luks, "Testing isomorphism of modules",
-J. Algebra 320 (2008): the vertex maps with g_t A1 = A2 g_s for every
-arrow form Hom(rep1, rep2), one F2 kernel over the sum of d_v^2 matrix
-entries.  Unequal dimension vectors, or dim Hom(rep1, rep2) unequal to
-dim End(rep1), reject at once; otherwise a Gray-code walk over Hom
-looks for an element invertible at every vertex.  The walk is bounded
-by HOM_DIM_BOUND on dim Hom, not by the vertex dimensions, and a larger
-Hom raises DimensionTooLarge rather than fall back to an unsound
-heuristic.  orbit() and _gl(), which enumerate the products of
-GL(d_v, F2) up to dimension three, are kept only as the independent
-oracle.
+Representations are checked exactly.  check_relations reads each arrow
+once into column bitmasks, entries mod 2, and evaluates a relation on
+the d_s unit vectors of its source s: one path step sums the columns of
+the arrow that the current vector selects.  After one pass over the
+entries, a relation costs d_s times its total path length in column
+sums, whatever the target dimension; on a link category every relation
+starts at the top vertex, where d_s = 1.
+
+Isomorphism is decided through the Hom space, after Brooksbank-Luks,
+"Testing isomorphism of modules", J. Algebra 320 (2008): the vertex
+maps with g_t A1 = A2 g_s for every arrow form Hom(rep1, rep2), one F2
+kernel over the sum of d_v^2 matrix entries.  Unequal dimension
+vectors, or dim Hom(rep1, rep2) unequal to dim End(rep1), reject at
+once; otherwise a Gray-code walk over Hom looks for an element
+invertible at every vertex.  The walk is bounded by HOM_DIM_BOUND on
+dim Hom, not by the vertex dimensions, and a larger Hom raises
+DimensionTooLarge rather than fall back to an unsound heuristic.  The
+independent oracles, the GL(d_v, F2) orbit enumeration and the dense
+row-product relation evaluator, live with the tests.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import f2
-from .errors import DimensionTooLarge, ShapeMismatch
+from .errors import DimensionTooLarge, MalformedQuiver, ShapeMismatch
 from .flow import DirectedCategoryPresentation
 
 Path = tuple[str, ...]
@@ -48,33 +55,41 @@ class QuiverPresentation:
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (name, source, target)
     relations: tuple[tuple[Path, ...], ...]
+    # arrow name -> (source, target), built once by the constructor
+    _ends: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [a[0] for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise ValueError("arrow names must be unique")
+        verts, ends = set(self.vertices), {}
+        for name, s, t in self.arrows:
+            if name in ends:
+                raise MalformedQuiver("arrow %r is named twice" % name)
+            for v in (s, t):
+                if v not in verts:
+                    raise MalformedQuiver(
+                        "arrow %r: %r is not a vertex" % (name, v))
+            ends[name] = (s, t)
+        object.__setattr__(self, "_ends", ends)
         for rel in self.relations:
-            ends = {self.path_endpoints(p) for p in rel}
-            if len(ends) != 1:
-                raise ValueError(
+            if len({self.path_endpoints(p) for p in rel}) != 1:
+                raise MalformedQuiver(
                     "paths of one relation must share endpoints: %r" % (rel,))
 
     def arrow(self, name: str) -> tuple[str, str, str]:
-        for a in self.arrows:
-            if a[0] == name:
-                return a
-        raise KeyError(name)
+        return (name,) + self.path_endpoints((name,))
 
     def path_endpoints(self, path: Path) -> tuple[str, str]:
         if not path:
-            raise ValueError("empty path")
-        src = self.arrow(path[0])[1]
-        at = src
-        for name in path:
-            _, s, t = self.arrow(name)
-            if s != at:
-                raise ValueError("path %r is not composable" % (path,))
-            at = t
+            raise MalformedQuiver("empty path")
+        try:
+            src, at = self._ends[path[0]]
+            for name in path[1:]:
+                s, t = self._ends[name]
+                if s != at:
+                    raise MalformedQuiver(
+                        "path %r is not composable at arrow %r" % (path, name))
+                at = t
+        except KeyError as exc:
+            raise MalformedQuiver("no arrow named %r" % exc.args[0]) from None
         return src, at
 
     def to_dot(self) -> str:
@@ -105,19 +120,17 @@ class QuiverRepresentation:
         }
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(1 << i for i in range(n))
+def _select(vectors, mask: int) -> int:
+    """The sum of the vectors that the bits of mask select."""
+    acc = 0
+    for j in f2.bits(mask):
+        acc ^= vectors[j]
+    return acc
 
 
 def _mul(a: Matrix, b: Matrix) -> Matrix:
     """a @ b: row i is the sum of the rows of b that row i of a selects."""
-    out = []
-    for row in a:
-        acc = 0
-        for j in f2.bits(row):
-            acc ^= b[j]
-        out.append(acc)
-    return tuple(out)
+    return tuple(_select(b, row) for row in a)
 
 
 def _inverse(g: Matrix) -> Matrix:
@@ -148,31 +161,26 @@ def _check_shapes(q: QuiverPresentation, rep: QuiverRepresentation) -> None:
 def check_relations(q: QuiverPresentation, rep: QuiverRepresentation
                     ) -> tuple[bool, list[str]]:
     """True iff every relation evaluates to the zero matrix; violations
-    name the failing relations."""
+    name the failing relations in order.  Relations are evaluated on
+    column bitmasks, unit vector by unit vector of their source."""
     _check_shapes(q, rep)
-    mats = {name: rep.matrix(name) for name, _, _ in q.arrows}
+    cols = {name: [sum((row[j] % 2) << i
+                       for i, row in enumerate(rep.matrices[name]))
+                   for j in range(rep.dims[s])]
+            for name, s, _ in q.arrows}
     violations = []
     for rel in q.relations:
-        src, tgt = q.path_endpoints(rel[0])
-        total = (0,) * rep.dims[tgt]
-        for path in rel:
-            mat = _identity(rep.dims[src])
-            for name in path:
-                mat = _mul(mats[name], mat)
-            total = tuple(x ^ y for x, y in zip(total, mat))
-        if any(total):
-            violations.append(" + ".join(".".join(p) for p in rel))
+        for unit in range(rep.dims[q.arrow(rel[0][0])[1]]):
+            total = 0
+            for path in rel:
+                v = 1 << unit
+                for name in path:
+                    v = _select(cols[name], v)
+                total ^= v
+            if total:
+                violations.append(" + ".join(".".join(p) for p in rel))
+                break
     return not violations, violations
-
-
-@functools.lru_cache(maxsize=None)
-def _gl(n: int) -> list[Matrix]:
-    if n > 3:
-        raise DimensionTooLarge(
-            "the oracle's GL(n, F2) enumeration is capped at dimension 3, "
-            "got %d" % n)
-    return [g for g in itertools.product(range(1 << n), repeat=n)
-            if f2.rank(g) == n]
 
 
 def transform(q: QuiverPresentation, rep: QuiverRepresentation,
@@ -259,27 +267,6 @@ def isomorphic(q: QuiverPresentation, rep1: QuiverRepresentation,
     return False
 
 
-def orbit(q: QuiverPresentation, rep: QuiverRepresentation
-          ) -> set[tuple]:
-    """All base changes of a representation, as hashable matrix tuples;
-    the independent oracle for isomorphism testing."""
-    groups = [_gl(rep.dims[v]) for v in q.vertices]
-    vert_index = {v: i for i, v in enumerate(q.vertices)}
-    seen = set()
-    for choice in itertools.product(*groups):
-        key = []
-        for name, s, t in q.arrows:
-            g_s_inv = _inverse(choice[vert_index[s]])
-            g_t = choice[vert_index[t]]
-            key.append((name, _mul(_mul(g_t, rep.matrix(name)), g_s_inv)))
-        seen.add(tuple(key))
-    return seen
-
-
-def rep_key(q: QuiverPresentation, rep: QuiverRepresentation) -> tuple:
-    return tuple((name, rep.matrix(name)) for name, _, _ in q.arrows)
-
-
 # --------------------------------------------------------------------------
 # category -> quiver
 # --------------------------------------------------------------------------
@@ -315,24 +302,27 @@ def regular_representation(cat: DirectedCategoryPresentation
     table: the top vertex carries the span of the identity, each middle
     vertex carries hom(top, mid), the bottom vertex hom(top, bottom) in
     its canonical basis; arrows act by right composition."""
-    dims: dict[str, int] = {cat.top: 1}
+    bottom_basis = cat.hom_top_bottom.basis
+    row_of = {w: i for i, w in enumerate(bottom_basis)}
+    dims: dict[str, int] = {cat.top: 1, cat.bottom: len(bottom_basis)}
     mats: dict[str, tuple] = {}
-    bottom_basis = list(cat.hom_top_bottom.basis)
-    dims[cat.bottom] = len(bottom_basis)
+
+    def units(basis):  # the inclusion of each basis element of a span
+        zeros = ((0,),) * len(basis)
+        return {g: zeros[:i] + ((1,),) + zeros[i + 1:]
+                for i, g in enumerate(basis)}
 
     for j, mid in enumerate(cat.middles):
-        basis = list(cat.hom_top_mid[j].generators)
+        basis = cat.hom_top_mid[j].generators
         dims[mid] = len(basis)
-        for u in basis:
-            col = [1 if g == u else 0 for g in basis]
-            mats[u] = tuple((c,) for c in col)
+        mats.update(units(basis))
         for v in cat.hom_mid_bottom[j].generators:
-            outs = [cat.compose(j, u, v) for u in basis]
-            mats[v] = tuple(tuple(1 if w in out else 0 for out in outs)
-                            for w in bottom_basis)
-    for w in bottom_basis:
-        col = [1 if g == w else 0 for g in bottom_basis]
-        mats[w] = tuple((c,) for c in col)
+            rows = [[0] * len(basis) for _ in bottom_basis]
+            for col, u in enumerate(basis):
+                for w in cat.compose(j, u, v):
+                    rows[row_of[w]][col] = 1
+            mats[v] = tuple(map(tuple, rows))
+    mats.update(units(bottom_basis))
     return QuiverRepresentation(dims, mats)
 
 

@@ -1,14 +1,22 @@
 """Test-side helpers that the package itself never calls: reversing one
-component of a diagram, and the relation families among the composite
-classes of a link-built flow category."""
+component of a diagram, the relation families among the composite
+classes of a link-built flow category, and the independent quiver
+oracles (the GL(d_v, F2) orbit enumeration and the dense row-product
+relation evaluator)."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
+from fukaya_flow import f2
+from fukaya_flow.errors import DimensionTooLarge
 from fukaya_flow.flow import DirectedCategoryPresentation, \
     flow_generator_names
 from fukaya_flow.links import LinkDiagram, LinkingMatrix
+from fukaya_flow.quiver import QuiverPresentation, QuiverRepresentation, \
+    _inverse, _mul
 
 
 def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
@@ -90,3 +98,74 @@ def relation_table(cat: DirectedCategoryPresentation, matrix: LinkingMatrix
                               names["mid_bottom"][i][1]))
         rels.append(CompositeRelation("pK_%d" % (j + 1), tuple(terms)))
     return rels
+
+
+# --------------------------------------------------------------------------
+# quiver oracles
+# --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def gl(n: int) -> list[tuple[int, ...]]:
+    """GL(n, F2) as row-bitmask matrices, by enumeration."""
+    if n > 3:
+        raise DimensionTooLarge(
+            "the oracle's GL(n, F2) enumeration is capped at dimension 3, "
+            "got %d" % n)
+    return [g for g in itertools.product(range(1 << n), repeat=n)
+            if f2.rank(g) == n]
+
+
+def orbit(q: QuiverPresentation, rep: QuiverRepresentation) -> set[tuple]:
+    """All base changes of a representation, as hashable matrix tuples;
+    the independent oracle for isomorphism testing."""
+    groups = [gl(rep.dims[v]) for v in q.vertices]
+    vert_index = {v: i for i, v in enumerate(q.vertices)}
+    seen = set()
+    for choice in itertools.product(*groups):
+        key = []
+        for name, s, t in q.arrows:
+            g_s_inv = _inverse(choice[vert_index[s]])
+            g_t = choice[vert_index[t]]
+            key.append((name, _mul(_mul(g_t, rep.matrix(name)), g_s_inv)))
+        seen.add(tuple(key))
+    return seen
+
+
+def rep_key(q: QuiverPresentation, rep: QuiverRepresentation) -> tuple:
+    return tuple((name, rep.matrix(name)) for name, _, _ in q.arrows)
+
+
+def dense_check_relations(q: QuiverPresentation, rep: QuiverRepresentation
+                          ) -> tuple[bool, list[str]]:
+    """The oracle for quiver.check_relations: every path multiplied out
+    into its full d_t x d_s matrix from the identity, rows as bitmasks
+    with entries mod 2, and the paths of a relation summed.  It reads
+    the arrows and the matrix entries itself."""
+    ends = {name: (s, t) for name, s, t in q.arrows}
+
+    def matrix(name):
+        return tuple(sum((x % 2) << j for j, x in enumerate(row))
+                     for row in rep.matrices[name])
+
+    def mul(a, b):  # a @ b
+        out = []
+        for row in a:
+            acc = 0
+            for j in range(len(b)):
+                if row >> j & 1:
+                    acc ^= b[j]
+            out.append(acc)
+        return tuple(out)
+
+    violations = []
+    for rel in q.relations:
+        src, tgt = ends[rel[0][0]][0], ends[rel[0][-1]][1]
+        total = (0,) * rep.dims[tgt]
+        for path in rel:
+            mat = tuple(1 << i for i in range(rep.dims[src]))
+            for name in path:
+                mat = mul(matrix(name), mat)
+            total = tuple(x ^ y for x, y in zip(total, mat))
+        if any(total):
+            violations.append(" + ".join(".".join(p) for p in rel))
+    return not violations, violations

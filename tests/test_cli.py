@@ -1,11 +1,14 @@
 """End-to-end command-line checks."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fukaya_flow
 from fukaya_flow.cli import main
@@ -227,6 +230,12 @@ def _python(*args):
     ("geometry-check", "--grid-n", "0"),
     ("geometry-check", "--samples", "0"),
     ("geometry-check", "--lambda-max", "nan"),
+    ("maslov", "--loop", ""),
+    ("maslov", "--loop", "[[0,%d],[1,0.5]]" % (9 * 10 ** 308)),
+    ("glued-index", "--parts",
+     '[{"name":"a","index":%d,"punctures":{"p":0}},'
+     '{"name":"b","index":%d,"punctures":{"p":0}}]' % ((9 * 10 ** 4299,) * 2),
+     "--gluings", '[["a","p","b","p"]]'),
 ])
 def test_malformed_json_arguments_exit_2(argv):
     proc = _python("-m", "fukaya_flow.cli", *argv)
@@ -346,3 +355,59 @@ def test_benchmark_tracer_installs():
                    "from tracer import Tracer; Tracer().install()"
                    % perfbench)
     assert proc.returncode == 0, proc.stderr
+
+
+# --------------------------------------------------------------------------
+# fuzzing the JSON flags through main()
+# --------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 3), st.integers(),
+    # past the float range, and up to the 4300-digit limit of int -> str
+    st.builds(lambda sign, e: sign * 9 * 10 ** e, st.sampled_from([1, -1]),
+              st.sampled_from([308, 309, 4299])),
+    st.floats(), st.sampled_from([1e308, -1e308, 6.283185307179586]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=10)
+_BREAKPOINTS = st.lists(st.lists(_NUMBERS, min_size=2, max_size=2) | _JSON,
+                        max_size=5)
+_NAMES = st.sampled_from(["a", "b", "c", "p", "q"])
+_PARTS = st.lists(
+    st.fixed_dictionaries(
+        {"name": _NAMES, "index": _NUMBERS},
+        optional={"punctures": st.dictionaries(_NAMES, _NUMBERS,
+                                               max_size=3)}) | _JSON,
+    max_size=4)
+_GLUINGS = st.lists(st.lists(_NAMES, min_size=4, max_size=4) | _JSON,
+                    max_size=4)
+
+
+def _argument(value_strategy):
+    """The text of a JSON flag: shaped JSON (non-finite floats as NaN
+    and Infinity), or arbitrary text."""
+    return st.one_of(value_strategy.map(json.dumps), st.text(max_size=20))
+
+
+@pytest.mark.parametrize("command,flag,values", [
+    ("maslov", "--loop", _BREAKPOINTS),
+    ("maslov", "--arcs", st.lists(_BREAKPOINTS | _JSON, max_size=4)),
+    ("glued-index", "--parts", _PARTS),
+])
+@settings(max_examples=150, deadline=2000, database=None)
+@given(data=st.data())
+def test_json_flags_exit_0_or_2(command, flag, values, data):
+    argv = [command, "%s=%s" % (flag, data.draw(_argument(values)))]
+    if command == "glued-index":
+        argv.append("--gluings=%s" % data.draw(_argument(_GLUINGS)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith("error:"), argv
+        assert "Traceback" not in err.getvalue(), argv

@@ -1,6 +1,7 @@
 """Flow-category construction, composition table, and relations."""
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -169,3 +170,36 @@ def test_json_export_deterministic():
     cat = build_flow_category(fixture("hopf", (1, 2)))
     assert cat.to_json() == build_flow_category(
         fixture("hopf", (1, 2))).to_json()
+
+
+def test_compose_of_chains_is_canonical_sum_of_supports():
+    # compose sums the stored entries without reducing again: canonical
+    # entries have no pivot bits, so neither has their sum.  The raw
+    # supports below are not canonical; the constructor rewrites them.
+    rng = random.Random(59)
+    for _ in range(150):
+        gens = ["g%d" % i for i in range(rng.randint(1, 7))]
+        bottom = F2Presentation(gens, [
+            rng.sample(gens, rng.randint(1, len(gens)))
+            for _ in range(rng.randint(0, 4))])
+        k = rng.randint(1, 3)
+        top_mid = tuple(F2Presentation(
+            ["a%d_%d" % (j, i) for i in range(rng.randint(0, 3))])
+            for j in range(k))
+        mid_bottom = tuple(F2Presentation(
+            ["b%d_%d" % (j, i) for i in range(rng.randint(0, 3))])
+            for j in range(k))
+        raw = {(j, u, v): [rng.choice(gens)
+                           for _ in range(rng.randint(0, 4))]
+               for j in range(k) for u in top_mid[j].generators
+               for v in mid_bottom[j].generators if rng.random() < 0.8}
+        cat = DirectedCategoryPresentation(
+            "t", tuple("m%d" % j for j in range(k)), "b", top_mid,
+            mid_bottom, bottom, raw)
+        for _ in range(5):
+            j = rng.randrange(k)
+            us = [g for g in top_mid[j].generators if rng.random() < 0.6]
+            vs = [g for g in mid_bottom[j].generators if rng.random() < 0.6]
+            summed = [w for u in us for v in vs
+                      for w in raw.get((j, u, v), ())]
+            assert cat.compose(j, us, vs) == bottom.canonical_names(summed)

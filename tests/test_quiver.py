@@ -9,13 +9,16 @@ import pytest
 from fukaya_flow import errors, f2, quiver
 from fukaya_flow.flow import (DirectedCategoryPresentation,
                               build_flow_category, rp2_category)
+from fukaya_flow.fukaya import build_fukaya_category, generator_dictionary
 from fukaya_flow.homology import F2Presentation
 from fukaya_flow.links import fixture, fixture_names
 from fukaya_flow.quiver import (QuiverPresentation, QuiverRepresentation,
                                 check_relations, cp2_quiver,
                                 cp2_standard_representation, from_category,
-                                isomorphic, orbit, regular_representation,
-                                rep_key, transform)
+                                isomorphic, regular_representation,
+                                transform)
+from helpers import dense_check_relations, gl, orbit, rep_key
+from test_morse import CATALOG
 
 
 def test_standard_representation_satisfies_relations():
@@ -114,19 +117,20 @@ def test_isomorphic_is_equivalence_relation():
 
 def test_gl_inverse():
     for n, order in ((1, 1), (2, 6), (3, 168)):
-        group = quiver._gl(n)
+        group = gl(n)
         assert len(group) == order
+        identity = tuple(1 << i for i in range(n))
         for g in group:
             inv = quiver._inverse(g)
-            assert quiver._mul(inv, g) == quiver._identity(n)
-            assert quiver._mul(g, inv) == quiver._identity(n)
+            assert quiver._mul(inv, g) == identity
+            assert quiver._mul(g, inv) == identity
 
 
 def test_check_relations_invariant_under_isomorphism():
     rng = random.Random(37)
     q = cp2_quiver()
     dims = {"x_4": 2, "x_2": 2, "x_0": 2}
-    gl2 = quiver._gl(2)
+    gl2 = gl(2)
     for _ in range(20):
         rep = _random_rep(q, dims, rng)
         maps = {v: gl2[rng.randrange(len(gl2))] for v in q.vertices}
@@ -276,6 +280,133 @@ def test_relation_endpoints_validated():
         QuiverPresentation(("u", "v"),
                            (("a", "u", "v"), ("b", "v", "u")),
                            ((("a",), ("b",)),))
+
+
+@pytest.mark.parametrize("arrows,relations,message", [
+    ((("a", "u", "w"),), (), "arrow 'a': 'w' is not a vertex"),
+    ((("a", "w", "u"),), (), "arrow 'a': 'w' is not a vertex"),
+    ((("a", "u", "v"), ("a", "v", "u")), (), "arrow 'a' is named twice"),
+    ((("a", "u", "v"),), ((("a",), ("b",)),), "no arrow named 'b'"),
+    ((("a", "u", "v"),), (((),),), "empty path"),
+    ((("a", "u", "v"), ("b", "u", "v")), ((("a", "b"),),),
+     r"path \('a', 'b'\) is not composable at arrow 'b'"),
+])
+def test_malformed_quiver_names_the_fault(arrows, relations, message):
+    with pytest.raises(errors.MalformedQuiver, match=message) as info:
+        QuiverPresentation(("u", "v"), arrows, relations)
+    assert isinstance(info.value, errors.FukayaFlowError)
+    assert isinstance(info.value, ValueError)
+
+
+def _random_quiver(rng):
+    """A quiver on 2-4 vertices with loops and parallel arrows allowed,
+    and relations among its paths of length 1-3 that share endpoints;
+    some relations repeat a path, so that they hold in every
+    representation."""
+    vertices = tuple("v%d" % i for i in range(rng.randint(2, 4)))
+    arrows = tuple(("a%d" % i, rng.choice(vertices), rng.choice(vertices))
+                   for i in range(rng.randint(2, 6)))
+    ends = {a: (s, t) for a, s, t in arrows}
+    paths = frontier = [(a,) for a in ends]
+    for _ in range(2):
+        frontier = [p + (a,) for p in frontier for a in ends
+                    if ends[a][0] == ends[p[-1]][1]]
+        paths = paths + frontier
+    by_ends = {}
+    for p in paths:
+        by_ends.setdefault((ends[p[0]][0], ends[p[-1]][1]), []).append(p)
+    groups = list(by_ends.values())
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        group = rng.choice(groups)
+        rel = rng.sample(group, rng.randint(1, min(3, len(group))))
+        if rng.random() < 0.2:
+            rel.append(rel[0])
+        relations.append(tuple(rel))
+    return QuiverPresentation(vertices, arrows, tuple(relations))
+
+
+def test_check_relations_matches_dense_oracle_on_random_quivers():
+    # entries 2 and -1 exercise the reduction mod 2; sources of
+    # dimension above 1 exercise every unit vector
+    rng = random.Random(61)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        q = _random_quiver(rng)
+        dims = {v: rng.randint(0, 3) for v in q.vertices}
+        entries = rng.choice([(0, 1), (0, 2), (0, 1, 2, -1), (0, 0, 0, 3)])
+        rep = QuiverRepresentation(dims, {
+            name: tuple(tuple(rng.choice(entries) for _ in range(dims[s]))
+                        for _ in range(dims[t]))
+            for name, s, t in q.arrows})
+        got = check_relations(q, rep)
+        assert got == dense_check_relations(q, rep)
+        verdicts[got[0]] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
+def _catalog_links():
+    for name in CATALOG:
+        k = fixture(name).diagram.component_count
+        for framings in itertools.product((-1, 0, 1, 2), repeat=k):
+            yield fixture(name, framings)
+
+
+def test_check_relations_matches_dense_oracle_on_catalog_flips():
+    # every framed catalog link, each mid -> bottom arrow with one entry
+    # of its regular representation flipped
+    rng = random.Random(67)
+    count = 0
+    for fl in _catalog_links():
+        cat = build_flow_category(fl)
+        q, rep = from_category(cat), regular_representation(cat)
+        assert check_relations(q, rep) == dense_check_relations(q, rep) \
+            == (True, [])
+        for j, mid in enumerate(cat.middles):
+            for v in cat.hom_mid_bottom[j].generators:
+                rows = [list(row) for row in rep.matrices[v]]
+                i, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+                rows[i][c] ^= 1
+                mats = dict(rep.matrices)
+                mats[v] = tuple(map(tuple, rows))
+                flipped = QuiverRepresentation(rep.dims, mats)
+                got = check_relations(q, flipped)
+                assert not got[0]
+                assert got == dense_check_relations(q, flipped)
+        count += 1
+    assert count == 188
+
+
+def test_flow_and_fukaya_regular_representations_isomorphic():
+    # the Fukaya category's regular representation, arrows renamed by
+    # the generator dictionary and moved by a random base change, is
+    # isomorphic to the flow category's; zeroing one arrow of nonzero
+    # rank breaks the isomorphism
+    rng = random.Random(71)
+    moved_apart = 0
+    for fl in _catalog_links():
+        flow_cat, fukaya_cat = build_flow_category(fl), \
+            build_fukaya_category(fl)
+        q, rep = from_category(flow_cat), regular_representation(flow_cat)
+        names = generator_dictionary(len(flow_cat.middles))
+        objects = dict(zip(fukaya_cat.objects, flow_cat.objects))
+        fuk = regular_representation(fukaya_cat)
+        renamed = QuiverRepresentation(
+            {objects[v]: d for v, d in fuk.dims.items()},
+            {names[a]: rows for a, rows in fuk.matrices.items()})
+        moved = transform(q, renamed, {
+            v: _random_invertible(rng, rep.dims[v]) for v in q.vertices})
+        assert isomorphic(q, rep, moved), fl.framings
+        moved_apart += moved != rep
+        arrow = rng.choice([a for a, _, _ in q.arrows
+                            if f2.rank(moved.matrix(a))])
+        mats = dict(moved.matrices)
+        mats[arrow] = tuple((0,) * len(row) for row in mats[arrow])
+        cut = QuiverRepresentation(moved.dims, mats)
+        assert not isomorphic(q, rep, cut), (fl.framings, arrow)
+    # without the base change the renamed representation equals the
+    # flow one; with it, most pairs differ entry by entry
+    assert moved_apart > 150, moved_apart
 
 
 def test_dot_export():
