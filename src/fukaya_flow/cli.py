@@ -301,7 +301,7 @@ def cmd_maslov(args) -> int:
 
 def cmd_glued_index(args) -> int:
     from . import maslov
-    if args.triangle_system:
+    if args.triangle_system is not None:
         n, mu, mu_prime = _int_list("--triangle-system",
                                     args.triangle_system, 3)
         index_h, index_v = maslov.solve_triangle_system(n, mu, mu_prime)

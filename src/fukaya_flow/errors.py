@@ -108,6 +108,11 @@ class NotClosed(FukayaFlowError):
     """A loop of lines does not close up."""
 
 
+class AngleOutOfRange(FukayaFlowError, OverflowError):
+    """An exact angle too large for a float meets a float angle in a
+    loop's arithmetic; the message names the breakpoint."""
+
+
 class MismatchedPuncture(FukayaFlowError):
     """Glued punctures disagree (missing, reused, or different dimension)."""
 

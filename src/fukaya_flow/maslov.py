@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidIndexProblem, MismatchedPuncture, NotClosed
+from .errors import (AngleOutOfRange, InvalidIndexProblem,
+                     MismatchedPuncture, NotClosed)
 
 Angle = Union[Fraction, float, int]
 
@@ -61,20 +62,34 @@ class LagrangianLineLoop:
             raise NotClosed("a loop needs at least two breakpoints")
 
     def _angles_over_pi(self) -> list[Fraction | float]:
-        out: list[Fraction | float] = []
-        for _, angle in self.breakpoints:
-            if isinstance(angle, Fraction):
-                out.append(angle)
-            elif isinstance(angle, int):
-                out.append(Fraction(angle))
-            else:
-                out.append(angle / math.pi)
-        return out
+        return [Fraction(a) if isinstance(a, (Fraction, int)) else a / math.pi
+                for _, a in self.breakpoints]
 
-    def total_over_pi(self) -> Fraction | float:
+    def total_over_pi(self, at: str = "") -> Fraction | float:
+        """The angle change over pi; at prefixes the breakpoints that
+        an AngleOutOfRange names."""
         angles = self._angles_over_pi()
-        total = angles[-1] - angles[0]
-        return total
+        return _minus(angles[-1], angles[0],
+                      "%sbreakpoint %d" % (at, len(angles) - 1),
+                      at + "breakpoint 0")
+
+
+def _float(angle: Fraction | float, where: str) -> float:
+    """An angle over pi as a float, for arithmetic with float angles; an
+    exact angle beyond the float range raises AngleOutOfRange."""
+    try:
+        return float(angle)
+    except OverflowError:
+        raise AngleOutOfRange("%s: an exact angle beyond the float range "
+                              "meets a float angle" % where) from None
+
+
+def _minus(later: Fraction | float, earlier: Fraction | float,
+           later_at: str, earlier_at: str) -> Fraction | float:
+    """later - earlier, exact when both angles are, else in floats."""
+    if isinstance(later, float) or isinstance(earlier, float):
+        later, earlier = _float(later, later_at), _float(earlier, earlier_at)
+    return later - earlier
 
 
 def _halfturns(total_over_pi) -> int:
@@ -135,31 +150,29 @@ def winding_number(arcs: Sequence[LagrangianLineLoop | Sequence],
     if boundary.punctures != len(arc_list):
         raise MismatchedPuncture(
             "%d arcs but %d punctures" % (len(arc_list), boundary.punctures))
-    exact = all(isinstance(a.total_over_pi(), Fraction) for a in arc_list)
+    changes = [a.total_over_pi("arc %d " % i) for i, a in enumerate(arc_list)]
+    exact = all(isinstance(c, Fraction) for c in changes)
 
     total = Fraction(0) if exact else 0.0
-    for arc in arc_list:
-        total = total + arc.total_over_pi()
+    for i, change in enumerate(changes):
+        total += change if exact else _float(
+            change, "the angle change of arc %d" % i)
     for i, arc in enumerate(arc_list):
-        nxt = arc_list[(i + 1) % len(arc_list)]
-        end = arc._angles_over_pi()[-1]
-        start = nxt._angles_over_pi()[0]
-        jump = start - end  # in units of pi, i.e. of 2*sigma
+        j = (i + 1) % len(arc_list)
+        # in units of pi, i.e. of 2*sigma
+        jump = _minus(arc_list[j]._angles_over_pi()[0],
+                      arc._angles_over_pi()[-1], "arc %d breakpoint 0" % j,
+                      "arc %d breakpoint %d" % (i, len(arc.breakpoints) - 1))
         if exact:
-            frac = Fraction(jump) % 2
-            if frac == 0:
-                raise NotClosed(
-                    "asymptotic lines at puncture %d are not transverse"
-                    % i)
-            sigma2 = frac if boundary.positive_range else frac - 2
+            frac = jump % 2
+            transverse = frac != 0
         else:
-            frac = float(jump) % 2.0
-            if min(frac, 2.0 - frac) < _CLOSURE_TOL:
-                raise NotClosed(
-                    "asymptotic lines at puncture %d are not transverse"
-                    % i)
-            sigma2 = frac if boundary.positive_range else frac - 2.0
-        total = total + sigma2
+            frac = _float(jump, "the jump at puncture %d" % i) % 2.0
+            transverse = min(frac, 2.0 - frac) >= _CLOSURE_TOL
+        if not transverse:
+            raise NotClosed(
+                "asymptotic lines at puncture %d are not transverse" % i)
+        total += frac if boundary.positive_range else frac - 2
     halfturns = _halfturns(total if exact else float(total))
     if halfturns % 2 != 0:
         raise NotClosed("arcs plus homotopies do not close")

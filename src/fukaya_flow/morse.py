@@ -569,19 +569,21 @@ class CascadeComplex:
     def homology_basis(self) -> tuple[str, ...]:
         """Representatives of a homology basis, chosen among single
         generators whenever possible."""
-        index = {g: i for i, g in enumerate(self.generators)}
         cols = self._cols
-        # seed the reducer with the image; anything it absorbs is zero
-        # in homology
-        classes = f2.Reducer(c for c in cols if c)
+        # one elimination: the columns it absorbs give the kernel, and
+        # its span, the image, absorbs what is zero in homology
+        classes, kernel = f2.Reducer(), []
+        for c in cols:
+            residual, combo = classes.add(c)
+            if not residual:
+                kernel.append(combo)
         reps = []
         # single-generator cycles first; add() leaves a nonzero residual
         # exactly for a cycle that is new in homology
-        for g in self.generators:
-            if cols[index[g]] == 0 and classes.add(1 << index[g])[0]:
+        for i, g in enumerate(self.generators):
+            if cols[i] == 0 and classes.add(1 << i)[0]:
                 reps.append(g)
         # remaining kernel classes (cycles supported on several generators)
-        kernel = f2.kernel_basis(list(cols))
         for combo in kernel:
             if classes.add(combo)[0]:
                 reps.append("+".join(self.generators[i]

@@ -8,17 +8,16 @@ names in diagrammatic order (first arrow applied first), so a path
 arrows by name once; a repeated name, an arrow to a non-vertex, or an
 empty, unknown or non-composable path raises MalformedQuiver.
 
-Matrices are tuples of row bitmasks, as in f2: bit j of row i is the
-entry in column j, a product is a sum of rows and inverses come from
-the f2 eliminator's row combinations.
-
-Representations are checked exactly.  check_relations reads each arrow
-once into column bitmasks, entries mod 2, and evaluates a relation on
-the d_s unit vectors of its source s: one path step sums the columns of
-the arrow that the current vector selects.  After one pass over the
-entries, a relation costs d_s times its total path length in column
-sums, whatever the target dimension; on a link category every relation
-starts at the top vertex, where d_s = 1.
+A representation stores each arrow as nested rows, the form that
+regular_representation builds and to_json prints.  Inside this module a
+matrix is a list of column bitmasks, bit i of column j its entry
+(i, j) mod 2; one pass, _columns, checks every shape against the quiver
+and packs every arrow.  check_relations evaluates a relation on the d_s
+unit vectors of its source s: one path step sums the columns of the
+arrow that the current vector selects.  After the packing pass, a
+relation costs d_s times its total path length in column sums, whatever
+the target dimension; on a link category every relation starts at the
+top vertex, where d_s = 1.
 
 Isomorphism is decided through the Hom space, after Brooksbank-Luks,
 "Testing isomorphism of modules", J. Algebra 320 (2008): the vertex
@@ -30,7 +29,8 @@ invertible at every vertex.  The walk is bounded by HOM_DIM_BOUND on
 dim Hom, not by the vertex dimensions, and a larger Hom raises
 DimensionTooLarge rather than fall back to an unsound heuristic.  The
 independent oracles, the GL(d_v, F2) orbit enumeration and the dense
-row-product relation evaluator, live with the tests.
+row-product relation evaluator, live with the tests, together with their
+own row arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import DimensionTooLarge, MalformedQuiver, ShapeMismatch
 from .flow import DirectedCategoryPresentation
 
 Path = tuple[str, ...]
-Matrix = tuple[int, ...]  # row bitmasks
+Matrix = list[int]  # column bitmasks
 
 # isomorphic walks up to 2^HOM_DIM_BOUND elements of Hom(rep1, rep2); a
 # full walk at the bound costs 65536 rank tests, a fraction of a second
@@ -74,9 +74,6 @@ class QuiverPresentation:
                 raise MalformedQuiver(
                     "paths of one relation must share endpoints: %r" % (rel,))
 
-    def arrow(self, name: str) -> tuple[str, str, str]:
-        return (name,) + self.path_endpoints((name,))
-
     def path_endpoints(self, path: Path) -> tuple[str, str]:
         if not path:
             raise MalformedQuiver("empty path")
@@ -92,25 +89,11 @@ class QuiverPresentation:
             raise MalformedQuiver("no arrow named %r" % exc.args[0]) from None
         return src, at
 
-    def to_dot(self) -> str:
-        lines = ["digraph quiver {", "  rankdir=LR;"]
-        for v in self.vertices:
-            lines.append('  "%s";' % v)
-        for name, s, t in self.arrows:
-            lines.append('  "%s" -> "%s" [label="%s"];' % (s, t, name))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class QuiverRepresentation:
     dims: Mapping[str, int]
     matrices: Mapping[str, tuple[tuple[int, ...], ...]]  # arrow -> rows
-
-    def matrix(self, name: str) -> Matrix:
-        """The arrow's matrix as row bitmasks, entries taken mod 2."""
-        return tuple(sum((x % 2) << j for j, x in enumerate(row))
-                     for row in self.matrices[name])
 
     def to_json(self) -> dict:
         return {
@@ -128,25 +111,14 @@ def _select(vectors, mask: int) -> int:
     return acc
 
 
-def _mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b: row i is the sum of the rows of b that row i of a selects."""
-    return tuple(_select(b, row) for row in a)
-
-
-def _inverse(g: Matrix) -> Matrix:
-    """Row j of the inverse is the combination of the rows of g that
-    sums to the unit vector e_j."""
-    red = f2.Reducer(g)
-    inv = tuple(red.express(1 << j) for j in range(len(g)))
-    if None in inv:
-        raise ValueError("matrix is singular")
-    return inv
-
-
-def _check_shapes(q: QuiverPresentation, rep: QuiverRepresentation) -> None:
+def _columns(q: QuiverPresentation, rep: QuiverRepresentation
+             ) -> dict[str, Matrix]:
+    """Every arrow's matrix as column bitmasks, entries mod 2, after
+    checking each shape against the quiver."""
     for v in q.vertices:
         if v not in rep.dims:
             raise ShapeMismatch("no dimension for vertex %r" % v)
+    cols = {}
     for name, s, t in q.arrows:
         if name not in rep.matrices:
             raise ShapeMismatch("no matrix for arrow %r" % name)
@@ -156,6 +128,9 @@ def _check_shapes(q: QuiverPresentation, rep: QuiverRepresentation) -> None:
             raise ShapeMismatch(
                 "arrow %r needs shape %r, got rows of lengths %r"
                 % (name, want, [len(row) for row in rows]))
+        cols[name] = [sum((row[j] % 2) << i for i, row in enumerate(rows))
+                      for j in range(want[1])]
+    return cols
 
 
 def check_relations(q: QuiverPresentation, rep: QuiverRepresentation
@@ -163,14 +138,10 @@ def check_relations(q: QuiverPresentation, rep: QuiverRepresentation
     """True iff every relation evaluates to the zero matrix; violations
     name the failing relations in order.  Relations are evaluated on
     column bitmasks, unit vector by unit vector of their source."""
-    _check_shapes(q, rep)
-    cols = {name: [sum((row[j] % 2) << i
-                       for i, row in enumerate(rep.matrices[name]))
-                   for j in range(rep.dims[s])]
-            for name, s, _ in q.arrows}
+    cols = _columns(q, rep)
     violations = []
     for rel in q.relations:
-        for unit in range(rep.dims[q.arrow(rel[0][0])[1]]):
+        for unit in range(rep.dims[q._ends[rel[0][0]][0]]):
             total = 0
             for path in rel:
                 v = 1 << unit
@@ -181,17 +152,6 @@ def check_relations(q: QuiverPresentation, rep: QuiverRepresentation
                 violations.append(" + ".join(".".join(p) for p in rel))
                 break
     return not violations, violations
-
-
-def transform(q: QuiverPresentation, rep: QuiverRepresentation,
-              maps: Mapping[str, Matrix]) -> QuiverRepresentation:
-    """Base change of a representation by invertible vertex maps."""
-    new = {}
-    for name, s, t in q.arrows:
-        mat = _mul(_mul(maps[t], rep.matrix(name)), _inverse(maps[s]))
-        new[name] = tuple(tuple((row >> j) & 1 for j in range(rep.dims[s]))
-                          for row in mat)
-    return QuiverRepresentation(dict(rep.dims), new)
 
 
 def _offsets(q: QuiverPresentation, dims: Mapping[str, int]
@@ -206,26 +166,28 @@ def _offsets(q: QuiverPresentation, dims: Mapping[str, int]
     return offset
 
 
-def _hom_basis(q: QuiverPresentation, rep1: QuiverRepresentation,
-               rep2: QuiverRepresentation) -> list[int]:
-    """A basis of Hom(rep1, rep2), dims assumed equal, as masks over the
-    vertex-map entries: the kernel of the map sending them to the arrow
-    entries of g_t A1 + A2 g_s."""
-    offset = _offsets(q, rep1.dims)
-    columns = [0] * sum(rep1.dims[v] ** 2 for v in q.vertices)
-    base = 0  # entry (i, j) of an arrow's equations is bit base + i d_s + j
+def _hom_basis(q: QuiverPresentation, dims: Mapping[str, int],
+               cols1: Mapping[str, Matrix], cols2: Mapping[str, Matrix]
+               ) -> list[int]:
+    """A basis of Hom(rep1, rep2), given both representations' columns
+    over the dimensions dims, as masks over the vertex-map entries: the
+    kernel of the map sending them to the arrow entries of
+    g_t A1 + A2 g_s."""
+    offset = _offsets(q, dims)
+    columns = [0] * sum(dims[v] ** 2 for v in q.vertices)
+    base = 0  # entry (i, j) of an arrow's equations is bit base + j d_t + i
     for name, s, t in q.arrows:
-        ds, dt = rep1.dims[s], rep1.dims[t]
-        a1, a2 = rep1.matrix(name), rep2.matrix(name)
+        ds, dt = dims[s], dims[t]
+        a1, a2 = cols1[name], cols2[name]
         # (g_t A1)_ij = sum_k (g_t)_ik (A1)_kj
-        for i in range(dt):
-            for k in range(dt):
-                columns[offset[t] + i * dt + k] ^= a1[k] << (base + i * ds)
+        for k in range(dt):
+            hits = sum(1 << (j * dt) for j in range(ds) if a1[j] >> k & 1)
+            for i in range(dt):
+                columns[offset[t] + i * dt + k] ^= hits << (base + i)
         # (A2 g_s)_ij = sum_k (A2)_ik (g_s)_kj
         for k in range(ds):
-            hits = sum(1 << (i * ds) for i in range(dt) if a2[i] >> k & 1)
             for j in range(ds):
-                columns[offset[s] + k * ds + j] ^= hits << (base + j)
+                columns[offset[s] + k * ds + j] ^= a2[k] << (base + j * dt)
         base += dt * ds
     return f2.kernel_basis(columns)
 
@@ -242,12 +204,11 @@ def isomorphic(q: QuiverPresentation, rep1: QuiverRepresentation,
     (the isomorphism when every d_v is 0) until an element has every
     vertex block invertible.  The walk visits at most 2^dim Hom
     elements; dim Hom above HOM_DIM_BOUND raises DimensionTooLarge."""
-    _check_shapes(q, rep1)
-    _check_shapes(q, rep2)
+    cols1, cols2 = _columns(q, rep1), _columns(q, rep2)
     if any(rep1.dims[v] != rep2.dims[v] for v in q.vertices):
         return False
-    hom = _hom_basis(q, rep1, rep2)
-    if len(hom) != len(_hom_basis(q, rep1, rep1)):
+    hom = _hom_basis(q, rep1.dims, cols1, cols2)
+    if len(hom) != len(_hom_basis(q, rep1.dims, cols1, cols1)):
         return False
     if len(hom) > HOM_DIM_BOUND:
         raise DimensionTooLarge(
@@ -353,15 +314,3 @@ def cp2_quiver() -> QuiverPresentation:
         (("a_1", "b_0"), ("a_0", "b_1"), ("c_1",)),
     )
     return QuiverPresentation(vertices, arrows, relations)
-
-
-def cp2_standard_representation() -> QuiverRepresentation:
-    """All vertex spaces one-dimensional; a0, b0, c0 the identity and
-    a1, b1, c1 zero."""
-    dims = {"x_4": 1, "x_2": 1, "x_0": 1}
-    one = ((1,),)
-    zero = ((0,),)
-    return QuiverRepresentation(dims, {
-        "a_0": one, "b_0": one, "c_0": one,
-        "a_1": zero, "b_1": zero, "c_1": zero,
-    })

@@ -2,7 +2,7 @@
 component of a diagram, the relation families among the composite
 classes of a link-built flow category, and the independent quiver
 oracles (the GL(d_v, F2) orbit enumeration and the dense row-product
-relation evaluator)."""
+relation evaluator) with their own row arithmetic and fixtures."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from fukaya_flow.errors import DimensionTooLarge
 from fukaya_flow.flow import DirectedCategoryPresentation, \
     flow_generator_names
 from fukaya_flow.links import LinkDiagram, LinkingMatrix
-from fukaya_flow.quiver import QuiverPresentation, QuiverRepresentation, \
-    _inverse, _mul
+from fukaya_flow.quiver import QuiverPresentation, QuiverRepresentation
 
 
 def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
@@ -104,6 +103,59 @@ def relation_table(cat: DirectedCategoryPresentation, matrix: LinkingMatrix
 # quiver oracles
 # --------------------------------------------------------------------------
 
+# Matrices here are tuples of row bitmasks, as in f2: bit j of row i is
+# the entry in column j, and a product is a sum of rows.
+
+def matrix(rep: QuiverRepresentation, name: str) -> tuple[int, ...]:
+    """An arrow's matrix as row bitmasks, entries taken mod 2."""
+    return tuple(sum((x % 2) << j for j, x in enumerate(row))
+                 for row in rep.matrices[name])
+
+
+def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a @ b: row i is the sum of the rows of b that row i of a selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for j in range(len(b)):
+            if row >> j & 1:
+                acc ^= b[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def inverse(g: tuple[int, ...]) -> tuple[int, ...]:
+    """Row j of the inverse is the combination of the rows of g that
+    sums to the unit vector e_j."""
+    red = f2.Reducer(g)
+    inv = tuple(red.express(1 << j) for j in range(len(g)))
+    if None in inv:
+        raise ValueError("matrix is singular")
+    return inv
+
+
+def transform(q: QuiverPresentation, rep: QuiverRepresentation,
+              maps: dict) -> QuiverRepresentation:
+    """Base change of a representation by invertible vertex maps, given
+    as row bitmasks."""
+    new = {}
+    for name, s, t in q.arrows:
+        mat = mul(mul(maps[t], matrix(rep, name)), inverse(maps[s]))
+        new[name] = tuple(tuple((row >> j) & 1 for j in range(rep.dims[s]))
+                          for row in mat)
+    return QuiverRepresentation(dict(rep.dims), new)
+
+
+def cp2_standard_representation() -> QuiverRepresentation:
+    """A representation of quiver.cp2_quiver: all vertex spaces
+    one-dimensional, a0, b0, c0 the identity and a1, b1, c1 zero."""
+    one, zero = ((1,),), ((0,),)
+    return QuiverRepresentation({"x_4": 1, "x_2": 1, "x_0": 1}, {
+        "a_0": one, "b_0": one, "c_0": one,
+        "a_1": zero, "b_1": zero, "c_1": zero,
+    })
+
+
 @functools.lru_cache(maxsize=None)
 def gl(n: int) -> list[tuple[int, ...]]:
     """GL(n, F2) as row-bitmask matrices, by enumeration."""
@@ -124,15 +176,15 @@ def orbit(q: QuiverPresentation, rep: QuiverRepresentation) -> set[tuple]:
     for choice in itertools.product(*groups):
         key = []
         for name, s, t in q.arrows:
-            g_s_inv = _inverse(choice[vert_index[s]])
+            g_s_inv = inverse(choice[vert_index[s]])
             g_t = choice[vert_index[t]]
-            key.append((name, _mul(_mul(g_t, rep.matrix(name)), g_s_inv)))
+            key.append((name, mul(mul(g_t, matrix(rep, name)), g_s_inv)))
         seen.add(tuple(key))
     return seen
 
 
 def rep_key(q: QuiverPresentation, rep: QuiverRepresentation) -> tuple:
-    return tuple((name, rep.matrix(name)) for name, _, _ in q.arrows)
+    return tuple((name, matrix(rep, name)) for name, _, _ in q.arrows)
 
 
 def dense_check_relations(q: QuiverPresentation, rep: QuiverRepresentation
@@ -142,21 +194,6 @@ def dense_check_relations(q: QuiverPresentation, rep: QuiverRepresentation
     with entries mod 2, and the paths of a relation summed.  It reads
     the arrows and the matrix entries itself."""
     ends = {name: (s, t) for name, s, t in q.arrows}
-
-    def matrix(name):
-        return tuple(sum((x % 2) << j for j, x in enumerate(row))
-                     for row in rep.matrices[name])
-
-    def mul(a, b):  # a @ b
-        out = []
-        for row in a:
-            acc = 0
-            for j in range(len(b)):
-                if row >> j & 1:
-                    acc ^= b[j]
-            out.append(acc)
-        return tuple(out)
-
     violations = []
     for rel in q.relations:
         src, tgt = ends[rel[0][0]][0], ends[rel[0][-1]][1]
@@ -164,7 +201,7 @@ def dense_check_relations(q: QuiverPresentation, rep: QuiverRepresentation
         for path in rel:
             mat = tuple(1 << i for i in range(rep.dims[src]))
             for name in path:
-                mat = mul(matrix(name), mat)
+                mat = mul(matrix(rep, name), mat)
             total = tuple(x ^ y for x, y in zip(total, mat))
         if any(total):
             violations.append(" + ".join(".".join(p) for p in rel))

@@ -23,9 +23,8 @@ from fukaya_flow.maslov import (LagrangianLineLoop, maslov_of_loop,
 from fukaya_flow.morse import (differential_case_I, handle_complex_from_link,
                                standard_lower_pair, standard_upper_pair)
 from fukaya_flow.quiver import (QuiverPresentation, check_relations,
-                                cp2_quiver, cp2_standard_representation,
-                                isomorphic)
-from helpers import orbit, rep_key
+                                cp2_quiver, isomorphic)
+from helpers import cp2_standard_representation, orbit, rep_key
 
 FIXTURES = ("unknot", "2-unlink", "3-unlink", "hopf", "trefoil", "3-chain")
 

@@ -311,6 +311,7 @@ def test_unknown_cascade_generator_exit_2():
     (("maslov", "--arcs", "[" * 100000), "--arcs"),
     (("glued-index", "--parts", "{"), "--parts"),
     (("geometry-check", "--seed=-1"), "--seed"),
+    (("glued-index", "--triangle-system="), "--triangle-system"),
 ])
 def test_bad_flag_values_name_the_flag(argv, flag):
     proc = _python("-m", "fukaya_flow.cli", *argv)

@@ -111,6 +111,42 @@ def test_winding_puncture_count_checked():
         winding_number(arcs, BoundaryData(punctures=2))
 
 
+@pytest.mark.parametrize("call,where", [
+    (lambda: maslov_of_loop(LagrangianLineLoop(((0, 10**400), (1, 0.5)))),
+     "breakpoint 0"),
+    (lambda: maslov_of_loop(LagrangianLineLoop(((0, 0.5), (1, -10**400)))),
+     "breakpoint 1"),
+    (lambda: winding_number([((0, 10**400), (1, 0.5))], BoundaryData(1)),
+     "arc 0 breakpoint 0"),
+    # an int arc beside a float arc: its angle change, then its endpoint
+    (lambda: winding_number([((0, 0), (1, 10**400)), ((0, 0.0), (1, 0.5))],
+                            BoundaryData(2)),
+     "the angle change of arc 0"),
+    (lambda: winding_number([((0, 10**400), (1, 10**400)),
+                             ((0, 0.0), (1, 0.5))], BoundaryData(2)),
+     "arc 0 breakpoint 1"),
+    # two exact endpoints whose difference meets the float arithmetic
+    (lambda: winding_number([((0, 0), (1, 0)), ((0, 10**400), (1, 10**400)),
+                             ((0, 0.0), (1, 0.5))], BoundaryData(3)),
+     "the jump at puncture 0"),
+])
+def test_exact_angle_beyond_float_range_names_the_breakpoint(call, where):
+    with pytest.raises(errors.AngleOutOfRange) as info:
+        call()
+    assert str(info.value).startswith(where + ": ")
+    assert isinstance(info.value, errors.FukayaFlowError)
+
+
+def test_huge_exact_angles_stay_exact():
+    # without a float angle nothing is converted
+    assert maslov_of_loop(LagrangianLineLoop(((0, 10**400),
+                                              (1, 10**400 + 4)))) == 2
+    def arcs(shift):
+        return [((0, shift), (1, shift + 1)), ((0, shift + 2), (1, shift + 3))]
+    assert winding_number(arcs(10**400), BoundaryData(2)) == \
+        winding_number(arcs(0), BoundaryData(2)) == 0
+
+
 def test_glued_index_pair():
     parts = [OperatorPart("a", 2, {"p": 2}), OperatorPart("b", 2, {"q": 2})]
     assert glued_index(parts, [("a", "p", "b", "q")]) == 2
