@@ -109,8 +109,8 @@ class NotClosed(FukayaFlowError):
 
 
 class AngleOutOfRange(FukayaFlowError, OverflowError):
-    """An exact angle too large for a float meets a float angle in a
-    loop's arithmetic; the message names the breakpoint."""
+    """A loop's float arithmetic meets a non-finite angle, or an exact
+    one beyond the float range; the message names the breakpoint."""
 
 
 class MismatchedPuncture(FukayaFlowError):

@@ -68,12 +68,13 @@ class Reducer:
         return len(self._pivots)
 
 
-def rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form with highest-bit pivots.
+def rref(rows: Iterable[int] | Reducer) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form with highest-bit pivots, of the rows or
+    of the span of a Reducer, which is read and not eliminated again.
 
     Returns (reduced nonzero rows sorted by pivot, pivot indices).
     """
-    red = Reducer(rows)
+    red = rows if isinstance(rows, Reducer) else Reducer(rows)
     cols = sorted(red._pivots)
     # each pivot row minus its pivot, reduced, has no pivot bits left
     return [red.reduce(red._pivots[p][0] ^ (1 << p))[0] | (1 << p)

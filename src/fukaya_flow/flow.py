@@ -9,8 +9,8 @@ bottom) into hom(top, bottom); products through distinct middle objects
 vanish.  The constructor is the one place a category is checked: the
 hom layers must match the middle objects, object names must be
 distinct, each table key's generators must belong to that key's middle
-object, each entry must name generators of hom(top, bottom), and every
-entry is stored in the canonical basis of hom(top, bottom).
+object, each entry (names or a bitmask) must lie in hom(top, bottom),
+and every entry is stored once, as its canonical bitmask.
 
 build_flow_category computes, for a framed link, the category whose
 hom(top, mid_j) is spanned by the classes [K+^j], [p+^j] of the j-th
@@ -43,8 +43,8 @@ class DirectedCategoryPresentation:
     hom_mid_bottom: tuple[F2Presentation, ...]
     hom_top_bottom: F2Presentation
     # (middle index, generator of hom(top,mid), generator of hom(mid,bottom))
-    # -> support in hom(top,bottom), stored in the canonical basis
-    table: Mapping[tuple[int, str, str], tuple[str, ...]]
+    # -> product in hom(top,bottom), names or a bitmask; stored canonical
+    table: Mapping[tuple[int, str, str], Iterable[str] | int]
 
     def __post_init__(self):
         k = len(self.middles)
@@ -52,8 +52,8 @@ class DirectedCategoryPresentation:
             raise ValueError("hom layers out of step with middle objects")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("object names must be distinct")
-        table = {}
-        for key, support in self.table.items():
+        target, table = self.hom_top_bottom, {}
+        for key, product in self.table.items():
             mid, u, v = key
             if not 0 <= mid < k:
                 raise ValueError("table key %r names no middle object"
@@ -64,12 +64,16 @@ class DirectedCategoryPresentation:
                         "table key %r: generator %r is not a morphism of "
                         "middle object %s" % (key, g, self.middles[mid]))
             try:
-                table[key] = self.hom_top_bottom.canonical_names(support)
+                if not isinstance(product, int):
+                    product = target.vector(product)
+                elif product < 0 or product >> len(target.generators):
+                    raise KeyError("bitmask %#x" % product)
             except KeyError as exc:
                 raise ValueError(
                     "table key %r: product generator %r is not a morphism "
                     "of hom(%s, %s)" % (key, exc.args[0], self.top,
                                         self.bottom)) from None
+            table[key] = target.canonicalize(product)
         object.__setattr__(self, "table", table)
 
     @property
@@ -87,13 +91,12 @@ class DirectedCategoryPresentation:
             u = (u,)
         if isinstance(v, str):
             v = (v,)
-        target = self.hom_top_bottom
         acc = 0
         for gu in u:
             for gv in v:
-                acc ^= target.vector(self.table.get((mid, gu, gv), ()))
+                acc ^= self.table.get((mid, gu, gv), 0)
         # the entries are canonical: no pivot bits, so neither has acc
-        return target.names(acc)
+        return self.hom_top_bottom.names(acc)
 
     def compose_cross(self, mid_u: int, u: str, mid_v: int, v: str
                       ) -> tuple[str, ...]:
@@ -107,7 +110,7 @@ class DirectedCategoryPresentation:
     def to_json(self) -> dict:
         entries = [
             {"middle": self.middles[mid], "left": gu, "right": gv,
-             "product": sorted(out)}
+             "product": sorted(self.hom_top_bottom.names(out))}
             for (mid, gu, gv), out in sorted(self.table.items())
         ]
         return {
@@ -145,12 +148,13 @@ def flow_generator_names(k: int) -> dict[str, list[str]]:
 
 
 def _complement_presentation(homology: ComplementHomology) -> F2Presentation:
-    """Single presentation joining the complement homology degrees,
-    ordered degree 0, 1, 2."""
-    degrees = [homology[degree] for degree in (0, 1, 2)]
-    return F2Presentation(
-        [g for pres in degrees for g in pres.generators],
-        [pres.names(r) for pres in degrees for r in pres.relations])
+    """Single presentation joining the complement homology degrees 0, 1,
+    2 in order, each degree's relation bitmasks shifted past the last."""
+    gens, rels = [], []
+    for pres in (homology[degree] for degree in (0, 1, 2)):
+        rels += [r << len(gens) for r in pres.relations]
+        gens += pres.generators
+    return F2Presentation(gens, rels)
 
 
 def build_flow_category(fl: FramedLink) -> DirectedCategoryPresentation:

@@ -1,12 +1,12 @@
 """Named-generator presentations over Z/2 and link-complement homology.
 
 An F2Presentation is a Z/2 vector space given by named generators and
-linear relations.  reduce() row-reduces the relations, selects the
-canonical basis (the pivot-free generators, with generator order as
-column order) and rewrites every generator in that basis.  Generators
-carry names only, no degree or component tags.  The directed categories
-of flow.py store their composition-table entries in this canonical
-basis when they are constructed.
+linear relations.  It runs one elimination, an f2.Reducer over the
+relations: canonicalize() reduces modulo it, and the reduced rows and
+the canonical basis (the pivot-free generators, with generator order as
+column order) are read from it.  Generators carry names only, no degree
+or component tags.  The directed categories of flow.py store their
+composition-table entries as canonical bitmasks.
 
 complement_homology() produces the presentation, in each homological
 degree 0..3, of the homology of a framed-link complement: one point
@@ -38,12 +38,10 @@ class F2Presentation:
                 "duplicate generator name in %r" % (gens,))
         self.generators = gens
         self._index = {g: i for i, g in enumerate(gens)}
-        rels = []
-        for r in relations:
-            rels.append(r if isinstance(r, int) else self.vector(r))
-        self.relations = tuple(rels)
-        self._rref, self._pivots = f2.rref(self.relations)
-        self._span = f2.Reducer(self._rref)
+        self.relations = tuple([r if isinstance(r, int) else self.vector(r)
+                                for r in relations])
+        self._span = f2.Reducer(self.relations)
+        self._rref, self._pivots = f2.rref(self._span)
 
     # --- vector helpers -------------------------------------------------
 
@@ -76,11 +74,6 @@ class F2Presentation:
     def canonical_names(self, names: Iterable[str]) -> tuple[str, ...]:
         return self.names(self.canonicalize(self.vector(names)))
 
-    def expression_map(self) -> dict[str, tuple[str, ...]]:
-        """Each generator written in the canonical basis."""
-        return {g: self.names(self.canonicalize(1 << i))
-                for i, g in enumerate(self.generators)}
-
     def reduce(self) -> "F2Presentation":
         """Presentation with relations in reduced row-echelon form.
 
@@ -89,9 +82,6 @@ class F2Presentation:
         return F2Presentation(self.generators, self._rref)
 
     # --- comparisons and export ------------------------------------------
-
-    def relation_set(self) -> frozenset[int]:
-        return frozenset(self._rref)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, F2Presentation)

@@ -130,14 +130,10 @@ class LinkingMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("linking matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("linking matrix must be symmetric")
+        if any(len(row) != len(self.entries) for row in self.entries):
+            raise ValueError("linking matrix must be square")
+        if list(map(tuple, self.entries)) != list(zip(*self.entries)):
+            raise ValueError("linking matrix must be symmetric")
 
     @property
     def size(self) -> int:

@@ -61,14 +61,19 @@ class LagrangianLineLoop:
         if len(self.breakpoints) < 2:
             raise NotClosed("a loop needs at least two breakpoints")
 
-    def _angles_over_pi(self) -> list[Fraction | float]:
-        return [Fraction(a) if isinstance(a, (Fraction, int)) else a / math.pi
-                for _, a in self.breakpoints]
+    def _angles_over_pi(self, at: str = "") -> list[Fraction | float]:
+        angles = [Fraction(a) if isinstance(a, (Fraction, int))
+                  else a / math.pi for _, a in self.breakpoints]
+        for i, a in enumerate(angles):
+            if isinstance(a, float) and not math.isfinite(a):
+                raise AngleOutOfRange("%sbreakpoint %d: the angle %r is not "
+                                      "finite" % (at, i, a * math.pi))
+        return angles
 
     def total_over_pi(self, at: str = "") -> Fraction | float:
         """The angle change over pi; at prefixes the breakpoints that
         an AngleOutOfRange names."""
-        angles = self._angles_over_pi()
+        angles = self._angles_over_pi(at)
         return _minus(angles[-1], angles[0],
                       "%sbreakpoint %d" % (at, len(angles) - 1),
                       at + "breakpoint 0")
@@ -92,14 +97,26 @@ def _minus(later: Fraction | float, earlier: Fraction | float,
     return later - earlier
 
 
+def _shown(x: Fraction | int) -> str:
+    """x for a message, or its magnitude past the int-to-str limit."""
+    try:
+        return str(x)
+    except ValueError:
+        n, d = Fraction(x).as_integer_ratio()
+        return "about %s10^%d" % ("-" * (n < 0), math.log10(abs(n))
+                                  - math.log10(d))
+
+
 def _halfturns(total_over_pi) -> int:
     """Exact or tolerance-snapped conversion of an angle change
     (in units of pi) to twice the degree."""
     if isinstance(total_over_pi, Fraction):
         if total_over_pi.denominator != 1:
             raise NotClosed("total angle change %s*pi is not a multiple "
-                            "of pi" % total_over_pi)
+                            "of pi" % _shown(total_over_pi))
         return int(total_over_pi)
+    if not math.isfinite(total_over_pi):
+        raise AngleOutOfRange("the total angle change is not finite")
     nearest = round(total_over_pi)
     if abs(total_over_pi - nearest) > _CLOSURE_TOL:
         raise NotClosed("total angle change %.12g*pi is not a multiple "
@@ -112,8 +129,8 @@ def loop_degree(loop: LagrangianLineLoop) -> int:
     dx^dy orientation)."""
     halfturns = _halfturns(loop.total_over_pi())
     if halfturns % 2 != 0:
-        raise NotClosed("loop does not close: angle change %d*pi"
-                        % halfturns)
+        raise NotClosed("loop does not close: angle change %s*pi"
+                        % _shown(halfturns))
     return halfturns // 2
 
 
@@ -173,7 +190,7 @@ def winding_number(arcs: Sequence[LagrangianLineLoop | Sequence],
             raise NotClosed(
                 "asymptotic lines at puncture %d are not transverse" % i)
         total += frac if boundary.positive_range else frac - 2
-    halfturns = _halfturns(total if exact else float(total))
+    halfturns = _halfturns(total)
     if halfturns % 2 != 0:
         raise NotClosed("arcs plus homotopies do not close")
     return halfturns // 2

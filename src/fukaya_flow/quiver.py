@@ -9,11 +9,12 @@ arrows by name once; a repeated name, an arrow to a non-vertex, or an
 empty, unknown or non-composable path raises MalformedQuiver.
 
 A representation stores each arrow as nested rows, the form that
-regular_representation builds and to_json prints.  Inside this module a
-matrix is a list of column bitmasks, bit i of column j its entry
-(i, j) mod 2; one pass, _columns, checks every shape against the quiver
-and packs every arrow.  check_relations evaluates a relation on the d_s
-unit vectors of its source s: one path step sums the columns of the
+regular_representation builds from a category's product bitmasks and
+to_json prints.  Inside this module a matrix is a list of column
+bitmasks, bit i of column j its entry (i, j) mod 2; one pass, _columns,
+checks every shape against the quiver and packs every column with one
+bytes translate.  check_relations evaluates a relation on the d_s unit
+vectors of its source s: one path step sums the columns of the
 arrow that the current vector selects.  After the packing pass, a
 relation costs d_s times its total path length in column sums, whatever
 the target dimension; on a link category every relation starts at the
@@ -103,6 +104,18 @@ class QuiverRepresentation:
         }
 
 
+_PARITY = bytes.maketrans(bytes(range(256)), b"01" * 128)  # byte -> digit
+
+
+def _pack(column) -> int:
+    """A column's entries mod 2 as a bitmask, entry i at bit i."""
+    try:
+        entries = bytes(column)
+    except ValueError:  # an entry outside 0..255
+        entries = bytes(x % 2 for x in column)
+    return int(entries.translate(_PARITY)[::-1] or b"0", 2)
+
+
 def _select(vectors, mask: int) -> int:
     """The sum of the vectors that the bits of mask select."""
     acc = 0
@@ -124,12 +137,12 @@ def _columns(q: QuiverPresentation, rep: QuiverRepresentation
             raise ShapeMismatch("no matrix for arrow %r" % name)
         rows = rep.matrices[name]
         want = (rep.dims[t], rep.dims[s])
-        if len(rows) != want[0] or any(len(row) != want[1] for row in rows):
+        if len(rows) != want[0] or {*map(len, rows)} - {want[1]}:
             raise ShapeMismatch(
                 "arrow %r needs shape %r, got rows of lengths %r"
                 % (name, want, [len(row) for row in rows]))
-        cols[name] = [sum((row[j] % 2) << i for i, row in enumerate(rows))
-                      for j in range(want[1])]
+        cols[name] = (list(map(_pack, zip(*rows))) if rows
+                      else [0] * want[1])
     return cols
 
 
@@ -262,9 +275,11 @@ def regular_representation(cat: DirectedCategoryPresentation
     """The representation assembled from the category's own composition
     table: the top vertex carries the span of the identity, each middle
     vertex carries hom(top, mid), the bottom vertex hom(top, bottom) in
-    its canonical basis; arrows act by right composition."""
+    its canonical basis; arrows act by right composition, read from
+    the product bitmasks into rows that share one zero row until set."""
     bottom_basis = cat.hom_top_bottom.basis
-    row_of = {w: i for i, w in enumerate(bottom_basis)}
+    row_of = {cat.hom_top_bottom.vector((w,)).bit_length() - 1: i
+              for i, w in enumerate(bottom_basis)}  # bit -> row
     dims: dict[str, int] = {cat.top: 1, cat.bottom: len(bottom_basis)}
     mats: dict[str, tuple] = {}
 
@@ -277,12 +292,14 @@ def regular_representation(cat: DirectedCategoryPresentation
         basis = cat.hom_top_mid[j].generators
         dims[mid] = len(basis)
         mats.update(units(basis))
+        zero = (0,) * len(basis)
         for v in cat.hom_mid_bottom[j].generators:
-            rows = [[0] * len(basis) for _ in bottom_basis]
+            rows = [zero] * len(bottom_basis)
             for col, u in enumerate(basis):
-                for w in cat.compose(j, u, v):
-                    rows[row_of[w]][col] = 1
-            mats[v] = tuple(map(tuple, rows))
+                for i in f2.bits(cat.table.get((j, u, v), 0)):
+                    r = row_of[i]
+                    rows[r] = rows[r][:col] + (1,) + rows[r][col + 1:]
+            mats[v] = tuple(rows)
     mats.update(units(bottom_basis))
     return QuiverRepresentation(dims, mats)
 

@@ -1,8 +1,11 @@
 """Test-side helpers that the package itself never calls: reversing one
 component of a diagram, the relation families among the composite
-classes of a link-built flow category, and the independent quiver
-oracles (the GL(d_v, F2) orbit enumeration and the dense row-product
-relation evaluator) with their own row arithmetic and fixtures."""
+classes of a link-built flow category, the name-based references for
+the categories' bitmask tables (composition, regular representation
+and the Theorem-B comparison, read from generator names), and the
+independent quiver oracles (the GL(d_v, F2) orbit enumeration and the
+dense row-product relation evaluator) with their own row arithmetic and
+fixtures."""
 
 from __future__ import annotations
 
@@ -97,6 +100,113 @@ def relation_table(cat: DirectedCategoryPresentation, matrix: LinkingMatrix
                               names["mid_bottom"][i][1]))
         rels.append(CompositeRelation("pK_%d" % (j + 1), tuple(terms)))
     return rels
+
+
+# --------------------------------------------------------------------------
+# name-based category references
+# --------------------------------------------------------------------------
+
+# A name table maps (middle index, u, v) to the product's support as raw
+# generator names of hom(top, bottom), not rewritten in any basis.
+
+def name_tables(matrix: LinkingMatrix) -> tuple[dict, dict]:
+    """The flow and Fukaya name tables of a framed link with this
+    linking matrix, from the product formulas of the flow and fukaya
+    module docstrings."""
+    flow, fukaya = {}, {}
+    for j in range(matrix.size):
+        n, m = j + 1, matrix.framing(j) % 2
+        mu, z1p = ("mu^%d" % n,), ("z1'^%d" % n,)
+        flow[(j, "K+^%d" % n, "p-^%d" % n)] = mu
+        flow[(j, "p+^%d" % n, "K-^%d" % n)] = ("lambda^%d" % n,) + mu * m
+        flow[(j, "K+^%d" % n, "K-^%d" % n)] = ("dU^%d" % n,)
+        flow[(j, "p+^%d" % n, "p-^%d" % n)] = ("q^%d" % n,)
+        fukaya[(j, "x2^%d" % n, "y2^%d" % n)] = ("z2^%d" % n,)
+        fukaya[(j, "x1^%d" % n, "y1'^%d" % n)] = ("z0^%d" % n,)
+        fukaya[(j, "x2^%d" % n, "y1'^%d" % n)] = z1p
+        fukaya[(j, "x1^%d" % n, "y2^%d" % n)] = ("z1^%d" % n,) + z1p * m
+    return flow, fukaya
+
+
+def reference_compose(cat: DirectedCategoryPresentation, names: dict,
+                      mid: int, us, vs) -> tuple[str, ...]:
+    """The composition of the chains us and vs through mid, read from a
+    name table: the named supports summed mod 2 and rewritten in the
+    canonical basis of hom(top, bottom), as names."""
+    return cat.hom_top_bottom.canonical_names(
+        w for u in us for v in vs for w in names.get((mid, u, v), ()))
+
+
+def reference_regular_representation(cat: DirectedCategoryPresentation,
+                                     names: dict) -> QuiverRepresentation:
+    """quiver.regular_representation from a name table: one fresh row
+    list per bottom basis element, set by looking each product name up."""
+    bottom_basis = cat.hom_top_bottom.basis
+    row_of = {w: i for i, w in enumerate(bottom_basis)}
+    dims = {cat.top: 1, cat.bottom: len(bottom_basis)}
+    mats = {}
+
+    def units(basis):
+        return {g: tuple((int(h == g),) for h in basis) for g in basis}
+
+    for j, mid in enumerate(cat.middles):
+        basis = cat.hom_top_mid[j].generators
+        dims[mid] = len(basis)
+        mats.update(units(basis))
+        for v in cat.hom_mid_bottom[j].generators:
+            rows = [[0] * len(basis) for _ in bottom_basis]
+            for col, u in enumerate(basis):
+                for w in reference_compose(cat, names, j, (u,), (v,)):
+                    rows[row_of[w]][col] = 1
+            mats[v] = tuple(map(tuple, rows))
+    mats.update(units(bottom_basis))
+    return QuiverRepresentation(dims, mats)
+
+
+def reference_compare(fukaya: DirectedCategoryPresentation,
+                      flow: DirectedCategoryPresentation,
+                      fukaya_names: dict, flow_names: dict,
+                      mapping: dict) -> tuple[bool, tuple[str, ...]]:
+    """fukaya.compare_categories by names, as (isomorphic, mismatches):
+    every name goes through the dictionary (which must cover them all),
+    the relations are compared as sets of reduced rows, and products
+    are read from the name tables."""
+    mismatches = []
+    k = len(flow.middles)
+    if len(fukaya.middles) != k:
+        return False, ("middle object counts differ: %d vs %d"
+                       % (len(fukaya.middles), k),)
+    for j in range(k):
+        for side, pf, pg in (("hom(top,mid)", fukaya.hom_top_mid[j],
+                              flow.hom_top_mid[j]),
+                             ("hom(mid,bottom)", fukaya.hom_mid_bottom[j],
+                              flow.hom_mid_bottom[j])):
+            mapped = tuple(mapping[n] for n in pf.generators)
+            if mapped != pg.generators:
+                mismatches.append("%s j=%d generators: %r -> %r != %r"
+                                  % (side, j + 1, pf.generators, mapped,
+                                     pg.generators))
+            if pf.relations or pg.relations:
+                mismatches.append("%s j=%d is not free" % (side, j + 1))
+    bf, bg = fukaya.hom_top_bottom, flow.hom_top_bottom
+    if sorted(mapping[n] for n in bf.generators) != sorted(bg.generators):
+        mismatches.append("hom(top,bottom) generator sets differ")
+        return False, tuple(mismatches)
+    translated = [bg.vector(mapping[n] for n in bf.names(r))
+                  for r in bf.relations]
+    if set(f2.rref(translated)[0]) != set(f2.rref(bg.relations)[0]):
+        mismatches.append("hom(top,bottom) relations differ")
+    for j in range(k):
+        for u in fukaya.hom_top_mid[j].generators:
+            for v in fukaya.hom_mid_bottom[j].generators:
+                left = reference_compose(fukaya, fukaya_names, j, (u,), (v,))
+                translated = bg.canonical_names(mapping[n] for n in left)
+                right = reference_compose(flow, flow_names, j,
+                                          (mapping[u],), (mapping[v],))
+                if sorted(translated) != sorted(right):
+                    mismatches.append("table entry (%s, %s): %r -> %r != %r"
+                                      % (u, v, left, translated, right))
+    return not mismatches, tuple(mismatches)
 
 
 # --------------------------------------------------------------------------

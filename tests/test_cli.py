@@ -1,6 +1,7 @@
 """End-to-end command-line checks."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -346,6 +347,34 @@ def test_bad_link_input_exits_2(argv, names):
     assert proc.stderr.startswith("error:")
     assert names in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_category_json_stdout_is_pinned():
+    """The JSON stdout of flow-category, fukaya-category and
+    verify-theorem-b on every framed catalog link, hashed call by call
+    as tools/cli_digest.py hashes its sweep, equals the digest taken
+    before the category tables were stored as bitmasks."""
+    import importlib.util
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "tools", "cli_digest.py")
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    digest, count = hashlib.sha256(), 0
+    for argv in cli_digest.calls():
+        if argv[0] not in ("flow-category", "fukaya-category",
+                           "verify-theorem-b") or argv[-1] != "json":
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        count += 1
+        digest.update(("\0".join(argv) + "\n").encode())
+        digest.update(out.getvalue().encode())
+        digest.update(b"\0")
+    assert count == 564
+    assert digest.hexdigest() == (
+        "1f00d3d7d20fcc5a2eca6b47c666f4d9e238ce406f06aa3954ecf06ee47f5c5d")
 
 
 def test_benchmark_tracer_installs():

@@ -77,7 +77,16 @@ def test_constructor_canonicalises_and_checks_keys():
     cat = DirectedCategoryPresentation(
         table={(0, "u1", "v1"): ("c2",), (1, "u2", "v2"): ("c1", "c2")},
         **fields)
-    assert cat.table == {(0, "u1", "v1"): ("c1",), (1, "u2", "v2"): ()}
+    # each product is stored once, as its canonical bitmask over (c1, c2)
+    assert cat.table == {(0, "u1", "v1"): 0b01, (1, "u2", "v2"): 0}
+    assert cat.compose(0, "u1", "v1") == ("c1",)
+    # a bitmask is accepted as a product too, and canonicalised the same
+    assert replace(cat, table={(0, "u1", "v1"): 0b10}).table == {
+        (0, "u1", "v1"): 0b01}
+    assert replace(cat) == cat
+    for mask, shown in ((0b100, "0x4"), (-1, "-0x1")):
+        with pytest.raises(ValueError, match="'bitmask %s'" % shown):
+            replace(cat, table={(0, "u1", "v1"): mask})
     # a key whose generator belongs to the other middle object
     with pytest.raises(ValueError, match="'v2'"):
         DirectedCategoryPresentation(table={(0, "u1", "v2"): ()}, **fields)

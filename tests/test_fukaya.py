@@ -89,19 +89,37 @@ def test_mutated_category_detected():
     flow_cat = build_flow_category(fl)
     fukaya_cat = build_fukaya_category(fl)
     table = dict(fukaya_cat.table)
-    # flip one entry
+    # flip one entry: the stored products are canonical bitmasks
     key = (0, "x2^1", "y2^1")
-    target = fukaya_cat.hom_top_bottom
-    flipped = target.names(
-        target.canonicalize(target.vector(table[key]) ^ target.vector(
-            ("z0^1",))))
-    table[key] = flipped
+    table[key] ^= fukaya_cat.hom_top_bottom.vector(("z0^1",))
     from dataclasses import replace
     mutated = replace(fukaya_cat, table=table)
     report = compare_categories(mutated, flow_cat,
                                 generator_dictionary(2))
     assert not report.isomorphic
     assert any("x2^1, y2^1" in m for m in report.mismatches)
+
+
+def test_incomplete_dictionary_is_a_mismatch():
+    # a generator the dictionary misses, or sends to a name the flow
+    # side does not have, is reported, not raised
+    fl = fixture("hopf", (1, 0))
+    flow_cat, fukaya_cat = build_flow_category(fl), build_fukaya_category(fl)
+    for gen, layer in (("x2^1", "hom(top,mid) j=1 generators"),
+                       ("y1'^2", "hom(mid,bottom) j=2 generators"),
+                       ("z0^1", "hom(top,bottom) generator sets differ"),
+                       ("z1'^2", "hom(top,bottom) generator sets differ")):
+        for image in (None, "nowhere", "K-^1"):
+            mapping = generator_dictionary(2)
+            if image is None:
+                del mapping[gen]
+            else:
+                mapping[gen] = image
+            report = compare_categories(fukaya_cat, flow_cat, mapping)
+            assert not report.isomorphic, (gen, image)
+            assert any(m.startswith(layer) for m in report.mismatches), (
+                gen, image, report.mismatches)
+            assert report.dictionary == mapping
 
 
 def test_relations_map_to_relations():

@@ -399,3 +399,16 @@ def test_parse_pd_accepts_or_raises_package_error(text):
     except errors.FukayaFlowError:
         return
     assert parse_pd(d.to_pd_text()) == d
+
+
+def test_linking_matrix_must_be_square_and_symmetric():
+    assert links.LinkingMatrix(((1, 2), (2, -1))).size == 2
+    assert links.LinkingMatrix(()).size == 0
+    for entries in (((1, 2),), ((0, 1), (0,)), ((0,), (1, 2))):
+        with pytest.raises(ValueError, match="square"):
+            links.LinkingMatrix(entries)
+    for entries in (((0, 1), (2, 0)), ((0, 1, 0), (1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="symmetric"):
+            links.LinkingMatrix(entries)
+    # rows given as lists are compared by their entries
+    assert links.LinkingMatrix([[0, 3], [3, 0]]).framing(1) == 0

@@ -147,6 +147,60 @@ def test_huge_exact_angles_stay_exact():
         winding_number(arcs(0), BoundaryData(2)) == 0
 
 
+@pytest.mark.parametrize("angle", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("call,where", [
+    (lambda a: maslov_of_loop(LagrangianLineLoop(((0, 0.0), (1, a)))),
+     "breakpoint 1"),
+    (lambda a: loop_degree(LagrangianLineLoop(((0, a), (1, 0.0)))),
+     "breakpoint 0"),
+    # an interior breakpoint adds nothing to the angle change, and is
+    # refused all the same
+    (lambda a: loop_degree(LagrangianLineLoop(
+        ((0, 0.0), (1, a), (2, 2 * math.pi)))), "breakpoint 1"),
+    (lambda a: winding_number([((0, 0.0), (1, 0.5)), ((0, 0.0), (1, a))],
+                              BoundaryData(2)), "arc 1 breakpoint 1"),
+    (lambda a: winding_number(
+        [LagrangianLineLoop(((0, a), (1, 0.5)))], BoundaryData(1)),
+     "arc 0 breakpoint 0"),
+])
+def test_non_finite_angle_names_the_breakpoint(call, where, angle):
+    with pytest.raises(errors.AngleOutOfRange) as info:
+        call(angle)
+    assert str(info.value).startswith(where + ": the angle %r" % angle)
+
+
+def test_angle_change_beyond_the_float_range():
+    # finite angles whose float angle change is not finite: an exact
+    # angle just inside the float range against a float one, and five
+    # arcs whose changes (exact but converted) sum past it
+    with pytest.raises(errors.AngleOutOfRange, match="not finite"):
+        loop_degree(LagrangianLineLoop(((0, 17 * 10**307), (1, -1.7e308))))
+    s, h = 85 * 10**306, F(1, 2)
+    arcs = [((0, 0), (1, 2 * s)), ((0, 2 * s + h), (1, 4 * s + h)),
+            ((0, 4 * s + 1), (1, 2 * s + 1)), ((0, 2 * s + 3 * h), (1, 3 * h)),
+            ((0, 2 * math.pi), (1, 0.5 * math.pi))]
+    with pytest.raises(errors.AngleOutOfRange, match="not finite"):
+        winding_number(arcs, BoundaryData(5))
+
+
+def test_not_closed_past_the_int_to_str_limit():
+    # the messages give the magnitude of an angle change whose digits
+    # int -> str refuses to print
+    with pytest.raises(errors.NotClosed, match=(
+            r"^total angle change about 10\^4999\*pi is not a multiple")):
+        maslov_of_loop(LagrangianLineLoop(((0, 0), (1, F(10**5000, 3)))))
+    with pytest.raises(errors.NotClosed, match=r"about 10\^-5000\*pi"):
+        loop_degree(LagrangianLineLoop(((0, 0), (1, F(1, 10**5000)))))
+    with pytest.raises(errors.NotClosed, match=(
+            r"^loop does not close: angle change about -10\^5000\*pi$")):
+        loop_degree(LagrangianLineLoop(((0, 0), (1, -10**5000 - 1))))
+    # small values print as before
+    with pytest.raises(errors.NotClosed, match=r"change 1/2\*pi is not"):
+        loop_degree(LagrangianLineLoop(((0, 0), (1, F(1, 2)))))
+    with pytest.raises(errors.NotClosed, match=r"change 3\*pi$"):
+        loop_degree(LagrangianLineLoop(((0, 0), (1, 3))))
+
+
 def test_glued_index_pair():
     parts = [OperatorPart("a", 2, {"p": 2}), OperatorPart("b", 2, {"q": 2})]
     assert glued_index(parts, [("a", "p", "b", "q")]) == 2
