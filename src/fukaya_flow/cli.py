@@ -331,18 +331,24 @@ def cmd_glued_index(args) -> int:
     return 0
 
 
+# the largest |lambda| at which p_image's sqrt(1 + 4 lambda^2) stays a float
+_LAMBDA_BOUND = math.sqrt(sys.float_info.max / 4)
+
+
 def _check_numeric_args(args) -> None:
-    """Refuse counts below 1, a negative --seed and a non-finite
-    --lambda-max: the numeric checks would pass vacuously or divide by
-    zero, and numpy takes no negative seed."""
+    """Refuse counts below 1, a negative --seed and a --lambda-max past
+    _LAMBDA_BOUND or not finite: the numeric checks would pass vacuously,
+    divide by zero or print nan, and numpy takes no negative seed."""
     for flag, least in (("grid_n", 1), ("samples", 1), ("seed", 0)):
         value = getattr(args, flag, least)
         if value < least:
             raise MalformedArgument("--%s must be at least %d, got %d"
                                     % (flag.replace("_", "-"), least, value))
-    if args.lambda_max is not None and not math.isfinite(args.lambda_max):
-        raise MalformedArgument("--lambda-max must be finite, got %s"
-                                % args.lambda_max)
+    lam = args.lambda_max
+    if lam is not None and not abs(lam) <= _LAMBDA_BOUND:
+        raise MalformedArgument("--lambda-max must be finite and at most "
+                                "%.6g in magnitude, got %s"
+                                % (_LAMBDA_BOUND, lam))
 
 
 def cmd_geometry_check(args) -> int:

@@ -4,13 +4,17 @@ framed link.
 Objects sit in three layers: one top object, k middle objects, one
 bottom object.  Morphism spaces point strictly downward; hom(a, a) is
 spanned by a formal identity and hom spaces against the order are zero.
+The middle hom spaces hom(top, mid_j) and hom(mid_j, bottom) are free,
+so each is stored as the tuple of its generator names; hom(top, bottom)
+is the one F2Presentation, the only hom space with relations.
 Composition is a bilinear table from hom(top, mid_j) x hom(mid_j,
 bottom) into hom(top, bottom); products through distinct middle objects
 vanish.  The constructor is the one place a category is checked: the
 hom layers must match the middle objects, object names must be
-distinct, each table key's generators must belong to that key's middle
-object, each entry (names or a bitmask) must lie in hom(top, bottom),
-and every entry is stored once, as its canonical bitmask.
+distinct, no middle hom space may name a generator twice, each table
+key's generators must belong to that key's middle object, each entry
+(names or a bitmask) must lie in hom(top, bottom), and every entry is
+stored once, as its canonical bitmask.
 
 build_flow_category computes, for a framed link, the category whose
 hom(top, mid_j) is spanned by the classes [K+^j], [p+^j] of the j-th
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .errors import DuplicateGeneratorName
 from .homology import ComplementHomology, F2Presentation, \
     complement_homology
 from .links import FramedLink, linking_matrix
@@ -39,8 +44,8 @@ class DirectedCategoryPresentation:
     top: str
     middles: tuple[str, ...]
     bottom: str
-    hom_top_mid: tuple[F2Presentation, ...]
-    hom_mid_bottom: tuple[F2Presentation, ...]
+    hom_top_mid: tuple[tuple[str, ...], ...]  # free: generator names
+    hom_mid_bottom: tuple[tuple[str, ...], ...]
     hom_top_bottom: F2Presentation
     # (middle index, generator of hom(top,mid), generator of hom(mid,bottom))
     # -> product in hom(top,bottom), names or a bitmask; stored canonical
@@ -52,6 +57,10 @@ class DirectedCategoryPresentation:
             raise ValueError("hom layers out of step with middle objects")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("object names must be distinct")
+        for layer in (*self.hom_top_mid, *self.hom_mid_bottom):
+            if len(set(layer)) != len(layer):
+                raise DuplicateGeneratorName(
+                    "duplicate generator name in %r" % (layer,))
         target, table = self.hom_top_bottom, {}
         for key, product in self.table.items():
             mid, u, v = key
@@ -59,7 +68,7 @@ class DirectedCategoryPresentation:
                 raise ValueError("table key %r names no middle object"
                                  % (key,))
             for g, layer in ((u, self.hom_top_mid), (v, self.hom_mid_bottom)):
-                if g not in layer[mid].generators:
+                if g not in layer[mid]:
                     raise ValueError(
                         "table key %r: generator %r is not a morphism of "
                         "middle object %s" % (key, g, self.middles[mid]))
@@ -115,8 +124,11 @@ class DirectedCategoryPresentation:
         ]
         return {
             "objects": list(self.objects),
-            "hom_top_mid": [p.to_json() for p in self.hom_top_mid],
-            "hom_mid_bottom": [p.to_json() for p in self.hom_mid_bottom],
+            # a free layer prints as a presentation without relations
+            "hom_top_mid": [F2Presentation(g).to_json()
+                            for g in self.hom_top_mid],
+            "hom_mid_bottom": [F2Presentation(g).to_json()
+                               for g in self.hom_mid_bottom],
             "hom_top_bottom": self.hom_top_bottom.to_json(),
             "table": entries,
         }
@@ -126,10 +138,10 @@ class DirectedCategoryPresentation:
         for obj in self.objects:
             lines.append('  "%s";' % obj)
         for mid, name in enumerate(self.middles):
-            for g in self.hom_top_mid[mid].generators:
+            for g in self.hom_top_mid[mid]:
                 lines.append('  "%s" -> "%s" [label="%s"];'
                              % (self.top, name, g))
-            for g in self.hom_mid_bottom[mid].generators:
+            for g in self.hom_mid_bottom[mid]:
                 lines.append('  "%s" -> "%s" [label="%s"];'
                              % (name, self.bottom, g))
         for g in self.hom_top_bottom.generators:
@@ -139,11 +151,10 @@ class DirectedCategoryPresentation:
         return "\n".join(lines) + "\n"
 
 
-def flow_generator_names(k: int) -> dict[str, list[str]]:
+def flow_generator_names(k: int) -> dict[str, list[tuple[str, str]]]:
     return {
-        "top_mid": [["K+^%d" % (j + 1), "p+^%d" % (j + 1)] for j in range(k)],
-        "mid_bottom": [["K-^%d" % (j + 1), "p-^%d" % (j + 1)]
-                       for j in range(k)],
+        "top_mid": [("K+^%d" % n, "p+^%d" % n) for n in range(1, k + 1)],
+        "mid_bottom": [("K-^%d" % n, "p-^%d" % n) for n in range(1, k + 1)],
     }
 
 
@@ -180,8 +191,8 @@ def build_flow_category(fl: FramedLink) -> DirectedCategoryPresentation:
         top="x_4",
         middles=tuple("x_2^%d" % (j + 1) for j in range(k)),
         bottom="x_0",
-        hom_top_mid=tuple(map(F2Presentation, names["top_mid"])),
-        hom_mid_bottom=tuple(map(F2Presentation, names["mid_bottom"])),
+        hom_top_mid=tuple(names["top_mid"]),
+        hom_mid_bottom=tuple(names["mid_bottom"]),
         hom_top_bottom=_complement_presentation(complement_homology(matrix)),
         table=table,
     )
@@ -196,9 +207,6 @@ def rp2_category() -> DirectedCategoryPresentation:
     A fixture, not a general 2d pipeline: the link machinery above is
     four-dimensional.
     """
-    hom_a = F2Presentation(("A_1", "A_2"))
-    hom_b = F2Presentation(("B_1", "B_2"))
-    hom_c = F2Presentation(("C_1", "C_2"))
     table = {
         (0, "A_2", "B_2"): ("C_1",),
         (0, "A_1", "B_1"): ("C_1",),
@@ -207,5 +215,5 @@ def rp2_category() -> DirectedCategoryPresentation:
     }
     return DirectedCategoryPresentation(
         top="x_2", middles=("x_1",), bottom="x_0",
-        hom_top_mid=(hom_a,), hom_mid_bottom=(hom_b,),
-        hom_top_bottom=hom_c, table=table)
+        hom_top_mid=(("A_1", "A_2"),), hom_mid_bottom=(("B_1", "B_2"),),
+        hom_top_bottom=F2Presentation(("C_1", "C_2")), table=table)

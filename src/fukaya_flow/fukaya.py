@@ -13,7 +13,8 @@ and the triangle products are
     x2^j * y1'^j = z1'^j         x1^j * y2^j  = z1^j + m_j z1'^j
 
 with mixed-j products zero; the constructor stores the outputs in the
-canonical basis.
+canonical basis.  The free middle spaces are stored as their tuples of
+generator names, and hom(V_4, V_0) as the category's one F2Presentation.
 
 verify_theorem_b checks, generator by generator and table entry by
 table entry, that the hardcoded dictionary
@@ -38,14 +39,12 @@ from .homology import F2Presentation
 from .links import FramedLink, linking_matrix
 
 
-def fukaya_generator_names(k: int) -> dict[str, list[str]]:
+def fukaya_generator_names(k: int) -> dict[str, list[tuple[str, ...]]]:
     return {
-        "top_mid": [["x2^%d" % (j + 1), "x1^%d" % (j + 1)] for j in range(k)],
-        "mid_bottom": [["y2^%d" % (j + 1), "y1'^%d" % (j + 1)]
-                       for j in range(k)],
-        "bottom": [["z0^%d" % (j + 1), "z1^%d" % (j + 1),
-                    "z1'^%d" % (j + 1), "z2^%d" % (j + 1)]
-                   for j in range(k)],
+        "top_mid": [("x2^%d" % n, "x1^%d" % n) for n in range(1, k + 1)],
+        "mid_bottom": [("y2^%d" % n, "y1'^%d" % n) for n in range(1, k + 1)],
+        "bottom": [("z0^%d" % n, "z1^%d" % n, "z1'^%d" % n, "z2^%d" % n)
+                   for n in range(1, k + 1)],
     }
 
 
@@ -81,8 +80,8 @@ def build_fukaya_category(fl: FramedLink) -> DirectedCategoryPresentation:
         top="V_4",
         middles=tuple("V_2^%d" % (j + 1) for j in range(k)),
         bottom="V_0",
-        hom_top_mid=tuple(map(F2Presentation, names["top_mid"])),
-        hom_mid_bottom=tuple(map(F2Presentation, names["mid_bottom"])),
+        hom_top_mid=tuple(names["top_mid"]),
+        hom_mid_bottom=tuple(names["mid_bottom"]),
         hom_top_bottom=F2Presentation(gens, rels),
         table=table,
     )
@@ -120,11 +119,12 @@ def compare_categories(fukaya: DirectedCategoryPresentation,
                        flow: DirectedCategoryPresentation,
                        mapping: dict[str, str]) -> TheoremBReport:
     """Entry-by-entry comparison of two three-level categories under a
-    generator dictionary, on bitmasks through its image of each Fukaya
-    generator of hom(top, bottom).  A mismatch, named with the entry
-    that disagrees, or a generator the dictionary misses or sends off
-    the flow side, signals an implementation bug, not a mathematical
-    possibility."""
+    generator dictionary: the free middle spaces as name tuples, and
+    hom(top, bottom) and the table on bitmasks through the dictionary's
+    image of each Fukaya generator of hom(top, bottom).  A mismatch,
+    named with the entry that disagrees, or a generator the dictionary
+    misses or sends off the flow side, signals an implementation bug,
+    not a mathematical possibility."""
     mismatches: list[str] = []
     k = len(flow.middles)
     if len(fukaya.middles) != k:
@@ -137,13 +137,10 @@ def compare_categories(fukaya: DirectedCategoryPresentation,
                               flow.hom_top_mid[j]),
                              ("hom(mid,bottom)", fukaya.hom_mid_bottom[j],
                               flow.hom_mid_bottom[j])):
-            mapped = tuple(mapping.get(n) for n in pf.generators)
-            if mapped != pg.generators:
+            mapped = tuple(mapping.get(n) for n in pf)
+            if mapped != pg:
                 mismatches.append("%s j=%d generators: %r -> %r != %r"
-                                  % (side, j + 1, pf.generators, mapped,
-                                     pg.generators))
-            if pf.relations or pg.relations:
-                mismatches.append("%s j=%d is not free" % (side, j + 1))
+                                  % (side, j + 1, pf, mapped, pg))
 
     bf, bg = fukaya.hom_top_bottom, flow.hom_top_bottom
     bit = {g: 1 << i for i, g in enumerate(bg.generators)}
@@ -163,8 +160,8 @@ def compare_categories(fukaya: DirectedCategoryPresentation,
     # constructor (also run by dataclasses.replace) rejects a key whose
     # generators belong to another middle.
     for j in range(k):
-        for u in fukaya.hom_top_mid[j].generators:
-            for v in fukaya.hom_mid_bottom[j].generators:
+        for u in fukaya.hom_top_mid[j]:
+            for v in fukaya.hom_mid_bottom[j]:
                 left = mapped(fukaya.table.get((j, u, v), 0))
                 right = flow.table.get((j, mapping.get(u), mapping.get(v)), 0)
                 if left != right:

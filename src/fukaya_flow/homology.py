@@ -5,8 +5,9 @@ linear relations.  It runs one elimination, an f2.Reducer over the
 relations: canonicalize() reduces modulo it, and the reduced rows and
 the canonical basis (the pivot-free generators, with generator order as
 column order) are read from it.  Generators carry names only, no degree
-or component tags.  The directed categories of flow.py store their
-composition-table entries as canonical bitmasks.
+or component tags.  The directed categories of flow.py keep one, for
+hom(top, bottom), and store their composition-table entries as its
+canonical bitmasks; their free middle hom spaces are name tuples.
 
 complement_homology() produces the presentation, in each homological
 degree 0..3, of the homology of a framed-link complement: one point
@@ -73,13 +74,6 @@ class F2Presentation:
 
     def canonical_names(self, names: Iterable[str]) -> tuple[str, ...]:
         return self.names(self.canonicalize(self.vector(names)))
-
-    def reduce(self) -> "F2Presentation":
-        """Presentation with relations in reduced row-echelon form.
-
-        Idempotent: reducing a reduced presentation returns an equal one.
-        """
-        return F2Presentation(self.generators, self._rref)
 
     # --- comparisons and export ------------------------------------------
 

@@ -185,6 +185,9 @@ def winding_number(arcs: Sequence[LagrangianLineLoop | Sequence],
             transverse = frac != 0
         else:
             frac = _float(jump, "the jump at puncture %d" % i) % 2.0
+            if math.isnan(frac):  # the jump is infinite
+                raise AngleOutOfRange("the jump at puncture %d is not "
+                                      "finite" % i)
             transverse = min(frac, 2.0 - frac) >= _CLOSURE_TOL
         if not transverse:
             raise NotClosed(

@@ -552,7 +552,6 @@ class CascadeComplex:
                         "d %s names %s, not a generator" % (g, h))
                 v ^= 1 << i
             cols.append(v)
-        sq = []
         for g, col in zip(self.generators, cols):
             acc = 0
             for i in f2.bits(col):
@@ -589,12 +588,6 @@ class CascadeComplex:
                 reps.append("+".join(self.generators[i]
                                      for i in f2.bits(combo)))
         return tuple(reps)
-
-    def betti(self) -> int:
-        cols = self._cols
-        n = len(self.generators)
-        r = f2.rank(list(cols))
-        return n - 2 * r
 
     def betti_by_degree(self) -> tuple[int, ...]:
         """Per-degree Betti numbers; requires the differential to drop

@@ -9,16 +9,15 @@ arrows by name once; a repeated name, an arrow to a non-vertex, or an
 empty, unknown or non-composable path raises MalformedQuiver.
 
 A representation stores each arrow as nested rows, the form that
-regular_representation builds from a category's product bitmasks and
-to_json prints.  Inside this module a matrix is a list of column
-bitmasks, bit i of column j its entry (i, j) mod 2; one pass, _columns,
-checks every shape against the quiver and packs every column with one
-bytes translate.  check_relations evaluates a relation on the d_s unit
-vectors of its source s: one path step sums the columns of the
-arrow that the current vector selects.  After the packing pass, a
-relation costs d_s times its total path length in column sums, whatever
-the target dimension; on a link category every relation starts at the
-top vertex, where d_s = 1.
+regular_representation builds from a category's product bitmasks.
+Inside this module a matrix is a list of column bitmasks, bit i of
+column j its entry (i, j) mod 2; one pass, _columns, checks every shape
+against the quiver and packs every column with one bytes translate.
+check_relations evaluates a relation on the d_s unit vectors of its
+source s: one path step sums the columns of the arrow that the current
+vector selects.  After the packing pass, a relation costs d_s times its
+total path length in column sums, whatever the target dimension; on a
+link category every relation starts at the top vertex, where d_s = 1.
 
 Isomorphism is decided through the Hom space, after Brooksbank-Luks,
 "Testing isomorphism of modules", J. Algebra 320 (2008): the vertex
@@ -95,13 +94,6 @@ class QuiverPresentation:
 class QuiverRepresentation:
     dims: Mapping[str, int]
     matrices: Mapping[str, tuple[tuple[int, ...], ...]]  # arrow -> rows
-
-    def to_json(self) -> dict:
-        return {
-            "dims": dict(sorted(self.dims.items())),
-            "matrices": {name: [list(row) for row in rows]
-                         for name, rows in sorted(self.matrices.items())},
-        }
 
 
 _PARITY = bytes.maketrans(bytes(range(256)), b"01" * 128)  # byte -> digit
@@ -246,22 +238,24 @@ def isomorphic(q: QuiverPresentation, rep1: QuiverRepresentation,
 # --------------------------------------------------------------------------
 
 def from_category(cat: DirectedCategoryPresentation) -> QuiverPresentation:
-    """One vertex per object, one arrow per hom-space basis element,
-    and one relation per composition-table pair: the composite path
-    equals its expansion in the top-to-bottom basis arrows."""
+    """One vertex per object, one arrow per hom-space basis element
+    (each generator name of a free middle hom space, each canonical
+    basis element of hom(top, bottom)), and one relation per
+    composition-table pair: the composite path equals its expansion in
+    the top-to-bottom basis arrows."""
     vertices = cat.objects
     arrows: list[tuple[str, str, str]] = []
     for j, mid in enumerate(cat.middles):
-        for g in cat.hom_top_mid[j].generators:
+        for g in cat.hom_top_mid[j]:
             arrows.append((g, cat.top, mid))
-        for g in cat.hom_mid_bottom[j].generators:
+        for g in cat.hom_mid_bottom[j]:
             arrows.append((g, mid, cat.bottom))
     for g in cat.hom_top_bottom.basis:
         arrows.append((g, cat.top, cat.bottom))
     relations: list[tuple[Path, ...]] = []
     for j, mid in enumerate(cat.middles):
-        for u in cat.hom_top_mid[j].generators:
-            for v in cat.hom_mid_bottom[j].generators:
+        for u in cat.hom_top_mid[j]:
+            for v in cat.hom_mid_bottom[j]:
                 expansion = cat.compose(j, u, v)
                 rel: list[Path] = [(u, v)]
                 rel.extend((w,) for w in expansion)
@@ -274,9 +268,10 @@ def regular_representation(cat: DirectedCategoryPresentation
                            ) -> QuiverRepresentation:
     """The representation assembled from the category's own composition
     table: the top vertex carries the span of the identity, each middle
-    vertex carries hom(top, mid), the bottom vertex hom(top, bottom) in
-    its canonical basis; arrows act by right composition, read from
-    the product bitmasks into rows that share one zero row until set."""
+    vertex the free hom(top, mid) on its names, the bottom vertex
+    hom(top, bottom) in its canonical basis; arrows act by right
+    composition, read from the product bitmasks into rows that share
+    one zero row until set."""
     bottom_basis = cat.hom_top_bottom.basis
     row_of = {cat.hom_top_bottom.vector((w,)).bit_length() - 1: i
               for i, w in enumerate(bottom_basis)}  # bit -> row
@@ -289,11 +284,11 @@ def regular_representation(cat: DirectedCategoryPresentation
                 for i, g in enumerate(basis)}
 
     for j, mid in enumerate(cat.middles):
-        basis = cat.hom_top_mid[j].generators
+        basis = cat.hom_top_mid[j]
         dims[mid] = len(basis)
         mats.update(units(basis))
         zero = (0,) * len(basis)
-        for v in cat.hom_mid_bottom[j].generators:
+        for v in cat.hom_mid_bottom[j]:
             rows = [zero] * len(bottom_basis)
             for col, u in enumerate(basis):
                 for i in f2.bits(cat.table.get((j, u, v), 0)):

@@ -1,5 +1,6 @@
 """Test-side helpers that the package itself never calls: reversing one
-component of a diagram, the relation families among the composite
+component of a diagram, a presentation's reduced form, a
+representation's JSON form, the relation families among the composite
 classes of a link-built flow category, the name-based references for
 the categories' bitmask tables (composition, regular representation
 and the Theorem-B comparison, read from generator names), and the
@@ -17,6 +18,7 @@ from fukaya_flow import f2
 from fukaya_flow.errors import DimensionTooLarge
 from fukaya_flow.flow import DirectedCategoryPresentation, \
     flow_generator_names
+from fukaya_flow.homology import F2Presentation
 from fukaya_flow.links import LinkDiagram, LinkingMatrix
 from fukaya_flow.quiver import QuiverPresentation, QuiverRepresentation
 
@@ -45,6 +47,23 @@ def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
     signs = tuple(1 if o else -1 for o in new_over)
     return LinkDiagram(tuple(new_quads), diagram.circles, components,
                        tuple(new_over), signs)
+
+
+def reduced(p: F2Presentation) -> F2Presentation:
+    """The presentation with its relations in reduced row-echelon form,
+    from f2.rref.  Idempotent: reducing a reduced presentation returns
+    an equal one."""
+    return F2Presentation(p.generators, f2.rref(p.relations)[0])
+
+
+def representation_json(rep: QuiverRepresentation) -> dict:
+    """A representation's dimensions and nested-row matrices as JSON,
+    keys sorted."""
+    return {
+        "dims": dict(sorted(rep.dims.items())),
+        "matrices": {name: [list(row) for row in rows]
+                     for name, rows in sorted(rep.matrices.items())},
+    }
 
 
 @dataclass(frozen=True)
@@ -76,8 +95,7 @@ def relation_table(cat: DirectedCategoryPresentation, matrix: LinkingMatrix
     """
     k = matrix.size
     names = flow_generator_names(k)
-    if [p.generators for p in cat.hom_top_mid] != \
-            [tuple(g) for g in names["top_mid"]]:
+    if cat.hom_top_mid != tuple(names["top_mid"]):
         raise ValueError("relation_table needs the flow category of a "
                          "%d-component link" % k)
     rels = [CompositeRelation(
@@ -150,10 +168,10 @@ def reference_regular_representation(cat: DirectedCategoryPresentation,
         return {g: tuple((int(h == g),) for h in basis) for g in basis}
 
     for j, mid in enumerate(cat.middles):
-        basis = cat.hom_top_mid[j].generators
+        basis = cat.hom_top_mid[j]
         dims[mid] = len(basis)
         mats.update(units(basis))
-        for v in cat.hom_mid_bottom[j].generators:
+        for v in cat.hom_mid_bottom[j]:
             rows = [[0] * len(basis) for _ in bottom_basis]
             for col, u in enumerate(basis):
                 for w in reference_compose(cat, names, j, (u,), (v,)):
@@ -181,13 +199,10 @@ def reference_compare(fukaya: DirectedCategoryPresentation,
                               flow.hom_top_mid[j]),
                              ("hom(mid,bottom)", fukaya.hom_mid_bottom[j],
                               flow.hom_mid_bottom[j])):
-            mapped = tuple(mapping[n] for n in pf.generators)
-            if mapped != pg.generators:
+            mapped = tuple(mapping[n] for n in pf)
+            if mapped != pg:
                 mismatches.append("%s j=%d generators: %r -> %r != %r"
-                                  % (side, j + 1, pf.generators, mapped,
-                                     pg.generators))
-            if pf.relations or pg.relations:
-                mismatches.append("%s j=%d is not free" % (side, j + 1))
+                                  % (side, j + 1, pf, mapped, pg))
     bf, bg = fukaya.hom_top_bottom, flow.hom_top_bottom
     if sorted(mapping[n] for n in bf.generators) != sorted(bg.generators):
         mismatches.append("hom(top,bottom) generator sets differ")
@@ -197,8 +212,8 @@ def reference_compare(fukaya: DirectedCategoryPresentation,
     if set(f2.rref(translated)[0]) != set(f2.rref(bg.relations)[0]):
         mismatches.append("hom(top,bottom) relations differ")
     for j in range(k):
-        for u in fukaya.hom_top_mid[j].generators:
-            for v in fukaya.hom_mid_bottom[j].generators:
+        for u in fukaya.hom_top_mid[j]:
+            for v in fukaya.hom_mid_bottom[j]:
                 left = reference_compose(fukaya, fukaya_names, j, (u,), (v,))
                 translated = bg.canonical_names(mapping[n] for n in left)
                 right = reference_compose(flow, flow_names, j,

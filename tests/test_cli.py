@@ -233,6 +233,11 @@ def _python(*args):
     ("geometry-check", "--lambda-max", "nan"),
     ("maslov", "--loop", ""),
     ("maslov", "--loop", "[[0,%d],[1,0.5]]" % (9 * 10 ** 308)),
+    ("maslov", "--arcs", "[[[0,%d],[1,%d]],[[0,-1.7e308],[1,-1.7e308]]]"
+     % ((17 * 10 ** 307,) * 2)),
+    ("emit-figure", "--lambda-max", "1e308"),
+    ("emit-figure", "--format", "svg", "--lambda-max=-1e308"),
+    ("geometry-check", "--lambda-max", "1e300"),
     ("glued-index", "--parts",
      '[{"name":"a","index":%d,"punctures":{"p":0}},'
      '{"name":"b","index":%d,"punctures":{"p":0}}]' % ((9 * 10 ** 4299,) * 2),
@@ -241,6 +246,7 @@ def _python(*args):
 def test_malformed_json_arguments_exit_2(argv):
     proc = _python("-m", "fukaya_flow.cli", *argv)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 
@@ -349,32 +355,43 @@ def test_bad_link_input_exits_2(argv, names):
     assert "Traceback" not in proc.stderr
 
 
+# (commands, format, calls, sha256) of the category stdout pins
+_CATEGORY_PINS = (
+    (("flow-category", "fukaya-category", "verify-theorem-b"), "json", 564,
+     "1f00d3d7d20fcc5a2eca6b47c666f4d9e238ce406f06aa3954ecf06ee47f5c5d"),
+    (("flow-category", "fukaya-category"), "dot", 376,
+     "2ab5da7a8518ac400482695a97e52970b90b18dcea9c0009e59a87f59ee07432"),
+)
+
+
 def test_category_json_stdout_is_pinned():
     """The JSON stdout of flow-category, fukaya-category and
-    verify-theorem-b on every framed catalog link, hashed call by call
-    as tools/cli_digest.py hashes its sweep, equals the digest taken
-    before the category tables were stored as bitmasks."""
+    verify-theorem-b, and the dot stdout of the first two, on every
+    framed catalog link, hashed call by call as tools/cli_digest.py
+    hashes its sweep, equal the digests taken before the category
+    tables were stored as bitmasks (JSON) and before the free middle
+    hom spaces were stored as name tuples (dot)."""
     import importlib.util
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "tools", "cli_digest.py")
     spec = importlib.util.spec_from_file_location("cli_digest", path)
     cli_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_digest)
-    digest, count = hashlib.sha256(), 0
-    for argv in cli_digest.calls():
-        if argv[0] not in ("flow-category", "fukaya-category",
-                           "verify-theorem-b") or argv[-1] != "json":
-            continue
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0, argv
-        count += 1
-        digest.update(("\0".join(argv) + "\n").encode())
-        digest.update(out.getvalue().encode())
-        digest.update(b"\0")
-    assert count == 564
-    assert digest.hexdigest() == (
-        "1f00d3d7d20fcc5a2eca6b47c666f4d9e238ce406f06aa3954ecf06ee47f5c5d")
+    sweep = list(cli_digest.calls())
+    for commands, fmt, calls, sha in _CATEGORY_PINS:
+        digest, count = hashlib.sha256(), 0
+        for argv in sweep:
+            if argv[0] not in commands or argv[-1] != fmt:
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0, argv
+            count += 1
+            digest.update(("\0".join(argv) + "\n").encode())
+            digest.update(out.getvalue().encode())
+            digest.update(b"\0")
+        assert count == calls, fmt
+        assert digest.hexdigest() == sha, fmt
 
 
 def test_benchmark_tracer_installs():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from fukaya_flow.errors import DuplicateGeneratorName
 from fukaya_flow.flow import (DirectedCategoryPresentation,
                               build_flow_category, rp2_category)
 from fukaya_flow.homology import F2Presentation
@@ -40,8 +41,8 @@ def test_hopf_pk_product():
 def test_mixed_middle_products_vanish():
     cat = build_flow_category(fixture("3-chain"))
     for j, i in itertools.permutations(range(3), 2):
-        for u in cat.hom_top_mid[j].generators:
-            for v in cat.hom_mid_bottom[i].generators:
+        for u in cat.hom_top_mid[j]:
+            for v in cat.hom_mid_bottom[i]:
                 assert cat.compose_cross(j, u, i, v) == ()
 
 
@@ -51,8 +52,8 @@ def test_bilinearity_exhaustive(name, framings):
     cat = build_flow_category(fixture(name, framings))
     pres = cat.hom_top_bottom
     for j in range(len(cat.middles)):
-        gens_u = cat.hom_top_mid[j].generators
-        gens_v = cat.hom_mid_bottom[j].generators
+        gens_u = cat.hom_top_mid[j]
+        gens_v = cat.hom_mid_bottom[j]
         for u1, u2 in itertools.product(gens_u, repeat=2):
             for v in gens_v:
                 left = pres.vector(cat.compose(j, (u1, u2), v))
@@ -70,8 +71,7 @@ def test_bilinearity_exhaustive(name, framings):
 def test_constructor_canonicalises_and_checks_keys():
     fields = dict(
         top="t", middles=("m1", "m2"), bottom="b",
-        hom_top_mid=(F2Presentation(("u1",)), F2Presentation(("u2",))),
-        hom_mid_bottom=(F2Presentation(("v1",)), F2Presentation(("v2",))),
+        hom_top_mid=(("u1",), ("u2",)), hom_mid_bottom=(("v1",), ("v2",)),
         hom_top_bottom=F2Presentation(("c1", "c2"), [("c1", "c2")]))
     # c2 = c1 and the canonical basis is {c1}
     cat = DirectedCategoryPresentation(
@@ -102,11 +102,33 @@ def test_constructor_canonicalises_and_checks_keys():
         DirectedCategoryPresentation(table={}, **fields)
 
 
+def test_middle_layer_names_each_generator_once():
+    # a free middle hom space is its tuple of names; a name repeated
+    # within one is refused by the constructor, replace included
+    cat = DirectedCategoryPresentation(
+        top="t", middles=("m1", "m2"), bottom="b",
+        hom_top_mid=(("u1",), ("u2",)), hom_mid_bottom=(("v1",), ("v2",)),
+        hom_top_bottom=F2Presentation(("c1",)), table={})
+    with pytest.raises(DuplicateGeneratorName, match="'u2', 'u2'"):
+        replace(cat, hom_top_mid=(("u1",), ("u2", "u2")))
+    with pytest.raises(DuplicateGeneratorName, match="'v1', 'w', 'v1'"):
+        DirectedCategoryPresentation(
+            "t", ("m1", "m2"), "b", cat.hom_top_mid,
+            (("v1", "w", "v1"), ("v2",)), cat.hom_top_bottom, {})
+    # one name in two different middle layers is not a repeat
+    assert replace(cat, hom_mid_bottom=(("v",), ("v",))).hom_mid_bottom \
+        == (("v",), ("v",))
+    flow = build_flow_category(fixture("hopf"))
+    with pytest.raises(DuplicateGeneratorName, match="K-"):
+        replace(flow, hom_mid_bottom=(("K-^1", "K-^1"),
+                                      flow.hom_mid_bottom[1]))
+
+
 def test_hom_ranks():
     cat = build_flow_category(fixture("3-chain"))
     for j in range(3):
-        assert cat.hom_top_mid[j].dim == 2
-        assert cat.hom_mid_bottom[j].dim == 2
+        assert len(cat.hom_top_mid[j]) == 2
+        assert len(cat.hom_mid_bottom[j]) == 2
     assert cat.hom_top_bottom.dim == 1 + 3 + 2
 
 
@@ -192,23 +214,23 @@ def test_compose_of_chains_is_canonical_sum_of_supports():
             rng.sample(gens, rng.randint(1, len(gens)))
             for _ in range(rng.randint(0, 4))])
         k = rng.randint(1, 3)
-        top_mid = tuple(F2Presentation(
-            ["a%d_%d" % (j, i) for i in range(rng.randint(0, 3))])
+        top_mid = tuple(
+            tuple("a%d_%d" % (j, i) for i in range(rng.randint(0, 3)))
             for j in range(k))
-        mid_bottom = tuple(F2Presentation(
-            ["b%d_%d" % (j, i) for i in range(rng.randint(0, 3))])
+        mid_bottom = tuple(
+            tuple("b%d_%d" % (j, i) for i in range(rng.randint(0, 3)))
             for j in range(k))
         raw = {(j, u, v): [rng.choice(gens)
                            for _ in range(rng.randint(0, 4))]
-               for j in range(k) for u in top_mid[j].generators
-               for v in mid_bottom[j].generators if rng.random() < 0.8}
+               for j in range(k) for u in top_mid[j]
+               for v in mid_bottom[j] if rng.random() < 0.8}
         cat = DirectedCategoryPresentation(
             "t", tuple("m%d" % j for j in range(k)), "b", top_mid,
             mid_bottom, bottom, raw)
         for _ in range(5):
             j = rng.randrange(k)
-            us = [g for g in top_mid[j].generators if rng.random() < 0.6]
-            vs = [g for g in mid_bottom[j].generators if rng.random() < 0.6]
+            us = [g for g in top_mid[j] if rng.random() < 0.6]
+            vs = [g for g in mid_bottom[j] if rng.random() < 0.6]
             summed = [w for u in us for v in vs
                       for w in raw.get((j, u, v), ())]
             assert cat.compose(j, us, vs) == bottom.canonical_names(summed)

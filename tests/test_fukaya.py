@@ -35,8 +35,8 @@ def test_hopf_x1_y2_reduction():
 def test_hom_profile():
     cat = build_fukaya_category(fixture("3-chain"))
     for j in range(3):
-        assert cat.hom_top_mid[j].dim == 2
-        assert cat.hom_mid_bottom[j].dim == 2
+        assert len(cat.hom_top_mid[j]) == 2
+        assert len(cat.hom_mid_bottom[j]) == 2
     # Betti profile (1, k, k-1, 0): the z<d> generators (z1 and z1')
     # sit in degree d
     spans = {d: sum(g.startswith("z%d" % d)

@@ -8,6 +8,7 @@ import pytest
 from fukaya_flow import errors
 from fukaya_flow.homology import F2Presentation, complement_homology
 from fukaya_flow.links import fixture, fixture_names, linking_matrix
+from helpers import reduced
 
 
 def test_reduce_single_relation():
@@ -50,8 +51,8 @@ def test_reduce_idempotent_random():
         gens = tuple("g%d" % i for i in range(n))
         rels = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))]
         p = F2Presentation(gens, rels)
-        r1 = p.reduce()
-        r2 = r1.reduce()
+        r1 = reduced(p)
+        r2 = reduced(r1)
         assert r1 == r2
         assert r1.basis == p.basis
         assert r1.dim == p.dim
@@ -70,7 +71,7 @@ def test_expression_map_kills_relations_random():
             for name in p.names(rel):
                 acc ^= p.vector(expr[name])
             assert acc == 0
-        assert p.dim + len(p.reduce().relations) == len(p.generators)
+        assert p.dim + len(reduced(p).relations) == len(p.generators)
 
 
 def test_unknot_complement():

@@ -183,6 +183,17 @@ def test_angle_change_beyond_the_float_range():
         winding_number(arcs, BoundaryData(5))
 
 
+def test_jump_beyond_the_float_range_names_the_puncture():
+    # both arcs are finite and constant, but the jump from the exact end
+    # of arc 0 to the float start of arc 1 overflows to -inf, whose
+    # remainder mod 2 is nan
+    arcs = [((0, 17 * 10**307), (1, 17 * 10**307)),
+            ((0, -1.7e308), (1, -1.7e308))]
+    with pytest.raises(errors.AngleOutOfRange,
+                       match="^the jump at puncture 0 is not finite$"):
+        winding_number(arcs, BoundaryData(2))
+
+
 def test_not_closed_past_the_int_to_str_limit():
     # the messages give the magnitude of an angle change whose digits
     # int -> str refuses to print

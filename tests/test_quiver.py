@@ -16,7 +16,8 @@ from fukaya_flow.quiver import (QuiverPresentation, QuiverRepresentation,
                                 check_relations, cp2_quiver, from_category,
                                 isomorphic, regular_representation)
 from helpers import (cp2_standard_representation, dense_check_relations, gl,
-                     inverse, matrix, mul, orbit, rep_key, transform)
+                     inverse, matrix, mul, orbit, rep_key,
+                     representation_json, transform)
 from test_morse import CATALOG
 
 
@@ -363,7 +364,7 @@ def test_check_relations_matches_dense_oracle_on_catalog_flips():
         assert check_relations(q, rep) == dense_check_relations(q, rep) \
             == (True, [])
         for j, mid in enumerate(cat.middles):
-            for v in cat.hom_mid_bottom[j].generators:
+            for v in cat.hom_mid_bottom[j]:
                 rows = [list(row) for row in rep.matrices[v]]
                 i, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
                 rows[i][c] ^= 1
@@ -410,7 +411,7 @@ def test_flow_and_fukaya_regular_representations_isomorphic():
 
 
 def test_representation_json():
-    blob = cp2_standard_representation().to_json()
+    blob = representation_json(cp2_standard_representation())
     assert blob["dims"] == {"x_0": 1, "x_2": 1, "x_4": 1}
     assert blob["matrices"]["a_0"] == [[1]]
 
