@@ -36,8 +36,10 @@ class NonPlanarPD(FukayaFlowError):
     input."""
 
 
-class SameComponent(FukayaFlowError):
-    """Linking number of a component with itself was requested."""
+class MalformedLink(FukayaFlowError, ValueError):
+    """A framed link with no component or with a framing count other
+    than its component count, or a linking matrix that is not square
+    and symmetric."""
 
 
 class UnknownFixture(FukayaFlowError, KeyError):

@@ -44,11 +44,13 @@ geometry_report (100,800 grid points, 200 round-trip samples, 100
 curves) takes about 0.07 s on a 2-core x86_64, against 2.5 s for the
 same checks made one point at a time.
 
-Tolerances: 1e-12 for construction invariants, 1e-10 for round trips,
-1e-6 for finite-difference checks with step 1e-5.  Derivatives use the
-four-point central difference: its O(h^4) truncation error stays far
-below that tolerance, where the O(h^2) error of a two-point stencil
-reaches it on some random curves.
+Tolerances: 1e-12 for construction invariants, 1e-10 for round trips
+and the P-image grid, 1e-6 for finite-difference checks with step 1e-5.
+Identities whose terms grow with lambda are held relative to the size
+of those terms, at least 1: sum |z_j|^2, |v| and |p_image|.  Derivatives
+use the four-point central difference: its O(h^4) truncation error
+stays far below that tolerance, where the O(h^2) error of a two-point
+stencil reaches it on some random curves.
 """
 
 from __future__ import annotations
@@ -74,12 +76,16 @@ BRANCH_TOL = 1e-8
 BATCH_POINTS = 4096
 
 
-def _require(deviation, what: str) -> None:
+def _require(deviation, what: str, size=None) -> None:
     """Raise DomainViolation at the first point whose deviation exceeds
-    CONSTRUCTION_TOL, naming its index in the batch and the deviation.
-    A NaN deviation passes, so a NaN input reaches the error checks,
-    which report it as FAIL."""
+    CONSTRUCTION_TOL times max(1, size()), the size of the terms its
+    identity sums (1 without size; size runs only past the absolute
+    bound), naming the point's index in the batch and its absolute
+    deviation.  A NaN deviation passes, so a NaN input reaches the
+    error checks, which report it as FAIL."""
     bad = deviation > CONSTRUCTION_TOL
+    if size is not None and bad.any():
+        bad = deviation > CONSTRUCTION_TOL * np.maximum(1.0, size())
     if not bad.any():
         return
     if np.ndim(deviation) == 0:
@@ -94,12 +100,14 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 def _check_cotangent(u: np.ndarray, v: np.ndarray) -> None:
     _require(np.abs(_norm(u) - 1.0), "|u| differs from 1")
-    _require(np.abs(np.sum(u * v, axis=-1)), "u.v differs from 0")
+    _require(np.abs(np.sum(u * v, axis=-1)), "u.v differs from 0",
+             lambda: _norm(v))
 
 
 def _check_quadric(z: np.ndarray) -> None:
     _require(np.abs(np.sum(z * z, axis=-1) - 1.0),
-             "sum z_j^2 differs from 1")
+             "sum z_j^2 differs from 1",
+             lambda: np.sum(np.abs(z) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -327,8 +335,8 @@ def roundtrip_errors(rng: np.random.Generator, samples: int
 def p_image_errors(rng: np.random.Generator, grid_thetas: int = 48,
                    lam_max: float = 2.0, lam_steps: int = 21,
                    ef_samples: int = 100) -> float:
-    """Max |P(mu_inv(sigma(e,f,theta,lam))) - p_image(theta,lam)| over a
-    grid crossed with random unit pairs (e, f).
+    """Max |P(mu_inv(sigma(e,f,theta,lam))) - p_image(theta,lam)| /
+    max(1, |p_image|) over a grid crossed with random unit pairs (e, f).
 
     Whole theta rows of lam_steps * ef_samples points go into one batch,
     as many as fit in BATCH_POINTS.  Raises GridTooSmall for fewer than
@@ -353,8 +361,9 @@ def p_image_errors(rng: np.random.Generator, grid_thetas: int = 48,
                              ef_samples)
         z = mu_inv_batch(*sigma_batch(e[:n], f[:n], np.repeat(batch, row),
                                       lam[:n]))
-        worst = np.maximum(worst, _worst(np.abs(quadratic_batch(z)
-                                                - expected)))
+        worst = np.maximum(worst, _worst(
+            np.abs(quadratic_batch(z) - expected)
+            / np.maximum(1.0, np.abs(expected))))
     return float(worst)
 
 

@@ -33,11 +33,12 @@ pure function.
 
 Cost: a diagram computes its arc -> component map and a per-crossing
 (under, over) component table once, on first use, and every consumer
-(crossing_components, linking_number, self_writhe, linking_matrix)
-reads that table.  Parsing is linear in the number n of crossings: the
-strand walks enter each crossing twice, and the planarity check is a
-union-find and one walk over the 4n darts.  The linking matrix of a
-k-component diagram is one pass over the crossings, O(n + k^2).
+(crossing_components, self_writhe, linking_matrix) reads that table.
+Parsing is linear in the number n of crossings: one regex match per
+token, strand walks that enter each crossing twice, and a planarity
+check of one union-find and one walk over the 4n darts.  The linking
+matrix, whose off-diagonal entries are the linking numbers, is one
+pass over the crossings, O(n + k^2) for k components.
 """
 
 from __future__ import annotations
@@ -50,30 +51,31 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import (ArcLabelNotPairedTwice, InconsistentOrientation,
-                     MalformedToken, NonPlanarPD, SameComponent,
+                     MalformedLink, MalformedToken, NonPlanarPD,
                      UnknownFixture)
 
-_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)"
-                    r"|O\(\s*(\d+)\s*\)")
+# whitespace, then one token (group 1) and the whitespace after it, or
+# no token (group 1 None) where the text holds no valid one
+_TOKEN = re.compile(r"\s*(?:(X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,"
+                    r"\s*(\d+)\s*\)|O\(\s*(\d+)\s*\))\s*)?")
 
 
 @dataclass(frozen=True)
 class LinkDiagram:
     """An oriented link diagram.
 
-    crossings: PD quadruples, under-strand a -> c, rotated so the stored
-        form matches the resolved orientation.
+    crossings: PD quadruples as the code gives them; the under-strand
+        runs a -> c.
     circles: arc labels of crossingless circle components.
     components: arcs of each component in circuit order, components
         ordered by smallest arc label.
-    over_to_b: per crossing, True when the over-strand runs d -> b.
-    signs: per crossing, +1 or -1.
+    signs: per crossing, +1 when the over-strand runs d -> b and -1
+        when it runs b -> d: the one record of the over-strand direction.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
     circles: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    over_to_b: tuple[bool, ...]
     signs: tuple[int, ...]
 
     @property
@@ -115,9 +117,9 @@ class FramedLink:
     def __post_init__(self):
         k = self.diagram.component_count
         if k < 1:
-            raise ValueError("a framed link needs at least one component")
+            raise MalformedLink("a framed link needs at least one component")
         if len(self.framings) != k:
-            raise ValueError(
+            raise MalformedLink(
                 "got %d framings for %d components"
                 % (len(self.framings), k))
 
@@ -131,9 +133,9 @@ class LinkingMatrix:
 
     def __post_init__(self):
         if any(len(row) != len(self.entries) for row in self.entries):
-            raise ValueError("linking matrix must be square")
+            raise MalformedLink("linking matrix must be square")
         if list(map(tuple, self.entries)) != list(zip(*self.entries)):
-            raise ValueError("linking matrix must be symmetric")
+            raise MalformedLink("linking matrix must be symmetric")
 
     @property
     def size(self) -> int:
@@ -147,42 +149,35 @@ class LinkingMatrix:
 
 
 def _tokenize(text: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
-    stripped = text.strip()
-    if not stripped:
-        return [], []
+    """The tokens of a non-blank PD code, each followed by a comma or
+    the end of the text; error offsets count in text."""
     quadruples: list[tuple[int, int, int, int]] = []
     circles: list[int] = []
     pos = 0
-    expecting_token = True
-    while pos < len(stripped):
-        if stripped[pos].isspace():
-            pos += 1
-            continue
-        if not expecting_token:
-            if stripped[pos] != ",":
-                raise MalformedToken(
-                    "expected ',' at offset %d in %r" % (pos, text))
-            pos += 1
-            expecting_token = True
-            continue
-        m = _TOKEN.match(stripped, pos)
-        if m is None:
+    while True:
+        m = _TOKEN.match(text, pos)
+        if m.group(1) is None:
+            if m.end() == len(text):
+                raise MalformedToken("trailing ',' at offset %d in %r"
+                                     % (pos - 1, text))
             raise MalformedToken(
-                "bad token at offset %d in %r" % (pos, text))
-        labels = tuple(int(a) for a in m.groups() if a is not None)
+                "bad token at offset %d in %r" % (m.end(), text))
+        labels = tuple(int(a) for a in m.groups()[1:] if a is not None)
         if 0 in labels:
             raise MalformedToken(
                 "arc label 0 in the token at offset %d in %r; arc labels "
-                "are positive integers" % (pos, text))
+                "are positive integers" % (m.start(1), text))
         if len(labels) == 1:
             circles.append(labels[0])
         else:
             quadruples.append(labels)
         pos = m.end()
-        expecting_token = False
-    if expecting_token:
-        raise MalformedToken("trailing ',' in %r" % (text,))
-    return quadruples, circles
+        if pos == len(text):
+            return quadruples, circles
+        if text[pos] != ",":
+            raise MalformedToken(
+                "expected ',' at offset %d in %r" % (pos, text))
+        pos += 1
 
 
 def _dart_table(labels: list[int]) -> list[int]:
@@ -209,10 +204,10 @@ def _two_ends(arc: int, role: str, x: int, y: int) -> InconsistentOrientation:
 
 
 def _walk_strands(labels: list[int], partner: list[int]
-                  ) -> tuple[list[bool], list[tuple[int, ...]]]:
-    """Orient every strand: per crossing, whether the over-strand runs
-    d -> b, and the arcs of each crossing component in circuit order,
-    from its smallest.
+                  ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Orient every strand: the sign of each crossing, +1 when its
+    over-strand runs d -> b, and the arcs of each crossing component in
+    circuit order, from its smallest.
 
     A strand that comes into a crossing at position p leaves it at
     p ^ 2, so one step from the dart it enters at is partner[dart ^ 2].
@@ -226,7 +221,7 @@ def _walk_strands(labels: list[int], partner: list[int]
         if partner[dart] % 4 == dart % 4:
             raise _two_ends(labels[dart], "tails" if dart % 4 else "heads",
                             dart, partner[dart])
-    over_to_b = [False] * (len(labels) // 4)
+    signs = [0] * (len(labels) // 4)
     entered = [False] * len(labels)
     components = []
 
@@ -235,7 +230,8 @@ def _walk_strands(labels: list[int], partner: list[int]
         while not entered[dart]:
             entered[dart] = True
             if dart % 2:
-                over_to_b[dart // 4] = dart % 4 == 3
+                # an over-strand entering at d (3) runs d -> b: +1
+                signs[dart // 4] = dart % 4 - 2
             out = dart ^ 2
             arcs.append(labels[out])
             dart = partner[out]
@@ -250,7 +246,7 @@ def _walk_strands(labels: list[int], partner: list[int]
     for dart in range(1, len(labels), 4):
         if not entered[dart] and not entered[dart + 2]:
             walk(dart + 2 if labels[dart] <= labels[dart + 2] else dart)
-    return over_to_b, components
+    return signs, components
 
 
 def _check_planar(partner: list[int]) -> None:
@@ -297,9 +293,9 @@ def _check_planar(partner: list[int]) -> None:
 def parse_pd(text: str) -> LinkDiagram:
     """Parse a PD-code string into a validated, oriented, planar
     diagram; the module docstring lists what is rejected."""
-    quadruples, circles = _tokenize(text)
-    if not quadruples and not circles:
+    if not text.strip():
         raise MalformedToken("empty PD code")
+    quadruples, circles = _tokenize(text)
     circle_counts = Counter(circles)
     labels = [arc for q in quadruples for arc in q]
     crossing_arcs = set(labels)
@@ -308,38 +304,11 @@ def parse_pd(text: str) -> LinkDiagram:
             raise ArcLabelNotPairedTwice(
                 "circle arc %d reused elsewhere" % arc)
     partner = _dart_table(labels)
-    over_to_b, components = _walk_strands(labels, partner)
+    signs, components = _walk_strands(labels, partner)
     _check_planar(partner)
-    signs = tuple(1 if o else -1 for o in over_to_b)
-    # store quadruples as given; the under direction a -> c already
-    # matches the resolved orientation by convention
     return LinkDiagram(tuple(tuple(q) for q in quadruples), tuple(circles),
                        tuple(sorted(components + [(a,) for a in circles])),
-                       tuple(over_to_b), signs)
-
-
-def _halve(total: int, i: int, j: int) -> int:
-    """Linking number from the signed count of crossings between
-    components i and j, which must be even."""
-    if total % 2 != 0:
-        raise InconsistentOrientation(
-            "odd signed crossing count between components %d and %d" % (i, j))
-    return total // 2
-
-
-def linking_number(diagram: LinkDiagram, i: int, j: int) -> int:
-    """Half the signed count of crossings between components i and j."""
-    if i == j:
-        raise SameComponent(
-            "self-linking is not defined; framings live in FramedLink")
-    k = diagram.component_count
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError("component index out of range")
-    pair = {i, j}
-    total = sum(sign for (cu, co), sign
-                in zip(diagram._crossing_table, diagram.signs)
-                if {cu, co} == pair)
-    return _halve(total, i, j)
+                       tuple(signs))
 
 
 def self_writhe(diagram: LinkDiagram, j: int) -> int:
@@ -365,8 +334,12 @@ def linking_matrix(fl: FramedLink) -> LinkingMatrix:
     for i in range(k):
         rows[i][i] = fl.framings[i]
         for j in range(i + 1, k):
-            rows[i][j] = rows[j][i] = _halve(signed[i][j] + signed[j][i],
-                                             i, j)
+            total = signed[i][j] + signed[j][i]
+            if total % 2:
+                raise InconsistentOrientation(
+                    "odd signed crossing count between components %d and %d"
+                    % (i, j))
+            rows[i][j] = rows[j][i] = total // 2
     return LinkingMatrix(tuple(map(tuple, rows)))
 
 

@@ -27,26 +27,24 @@ def reverse_component(diagram: LinkDiagram, comp: int) -> LinkDiagram:
     """Diagram with the orientation of one component reversed."""
     arcs = set(diagram.components[comp])
     new_quads = []
-    new_over = []
-    for ci, quad in enumerate(diagram.crossings):
+    signs = []
+    for quad, sign in zip(diagram.crossings, diagram.signs):
         a, b, c, d = quad
-        over = diagram.over_to_b[ci]
         if a in arcs:
             # reversed under-strand: rotate so the new incoming
-            # under-arc (c) sits first
+            # under-arc (c) sits first, which swaps b and d
             quad = (c, d, a, b)
-            over = not over
+            sign = -sign
         if b in arcs:
-            over = not over
+            sign = -sign
         new_quads.append(quad)
-        new_over.append(over)
+        signs.append(sign)
     # the same arcs in the opposite circuit order, still from the smallest
     components = tuple(
         (c[0],) + c[:0:-1] if i == comp else c
         for i, c in enumerate(diagram.components))
-    signs = tuple(1 if o else -1 for o in new_over)
     return LinkDiagram(tuple(new_quads), diagram.circles, components,
-                       tuple(new_over), signs)
+                       tuple(signs))
 
 
 def reduced(p: F2Presentation) -> F2Presentation:

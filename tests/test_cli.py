@@ -207,6 +207,15 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "forced mismatch" in err
 
 
+@pytest.mark.parametrize("lam", ["2", "1e5", "1e10", "1e150"])
+def test_geometry_check_passes_at_large_lambda(capsys, lam):
+    # the construction checks scale with |z|^2 and |v|, which grow
+    # with lambda, so an in-range --lambda-max is not a domain error
+    code, out, err = run(capsys, "geometry-check", "--lambda-max", lam)
+    assert code == 0, err
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+
+
 def _python(*args):
     """Run a fresh interpreter on the package under test."""
     root = os.path.dirname(os.path.dirname(fukaya_flow.__file__))
@@ -242,6 +251,17 @@ def _python(*args):
      '[{"name":"a","index":%d,"punctures":{"p":0}},'
      '{"name":"b","index":%d,"punctures":{"p":0}}]' % ((9 * 10 ** 4299,) * 2),
      "--gluings", '[["a","p","b","p"]]'),
+    ("parse-link", "--pd", "X(1,3,2,4) X(3,1,4,2)"),
+    ("parse-link", "--pd", "X(1,3,2,4),"),
+    ("parse-link", "--pd", "X(0,3,2,4)"),
+    ("linking-matrix", "--fixture", "hopf", "--framings", "1"),
+    ("complement-homology", "--pd", "X(1,2,3,4),X(3,4,1,2)"),
+    ("flow-category", "--pd", "X(1,3,2,4)"),
+    ("fukaya-category", "--pd", "X(1,2,3,4),X(1,3,2,4)"),
+    ("verify-theorem-b", "--pd", "O(1),O(1)"),
+    ("morse-bott", "handles"),
+    ("morse-bott", "handles", "--pd", "Y(1)"),
+    ("cascade-diagnostics", "--source", "x2", "--target", "nope"),
 ])
 def test_malformed_json_arguments_exit_2(argv):
     proc = _python("-m", "fukaya_flow.cli", *argv)

@@ -113,7 +113,8 @@ def _ref_p_image_errors(rng, grid_thetas, lam_max, lam_steps, ef_samples):
                      lam * c * f[1]]
                 z = _ref_mu_inv(u, v)
                 p = z[0] ** 2 + z[1] ** 2 - z[2] ** 2 - z[3] ** 2
-                worst = max(worst, abs(p - expected))
+                worst = max(worst,
+                            abs(p - expected) / max(1.0, abs(expected)))
     return worst
 
 

@@ -1,6 +1,7 @@
 """PD parsing, orientation, linking numbers, and the framed matrix."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -8,13 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from fukaya_flow import errors, links
 from fukaya_flow.links import (FramedLink, LinkDiagram, fixture,
-                               fixture_names, linking_matrix, linking_number,
-                               parse_pd, self_writhe)
+                               fixture_names, linking_matrix, parse_pd,
+                               self_writhe)
 from helpers import reverse_component
 
 HOPF = "X(1,3,2,4),X(3,1,4,2)"
 TREFOIL = "X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)"
 CHAIN3 = "X(1,3,2,8),X(3,1,4,2),X(4,5,7,6),X(5,8,6,7)"
+
+
+def linking_number(d, i, j):
+    """lk(K_i, K_j): an off-diagonal entry of the linking matrix."""
+    k = d.component_count
+    return linking_matrix(FramedLink(d, (0,) * k)).entries[i][j]
 
 
 def test_parse_two_crossing_two_component():
@@ -36,9 +43,24 @@ def test_parse_arity_violation():
 
 def test_parse_garbage_tokens():
     for text in ("Y(1,2,3,4)", "X(1,2,3,4),", "X(a,b,c,d)", "X(1 2 3 4)",
-                 "X(0,0,1,1)", "O(0)"):
+                 "X(0,0,1,1)", "O(0)", "X(1,3,2,4) X(3,1,4,2)",
+                 ",X(1,3,2,4),X(3,1,4,2)", " \t\n "):
         with pytest.raises(errors.MalformedToken):
             parse_pd(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("  X(1,2,3)", "bad token at offset 2 in"),
+    (" O(1) ,\tX(1,2)", "bad token at offset 8 in"),
+    ("  X(1,3,2,4) X(3,1,4,2)", "expected ',' at offset 13 in"),
+    ("\nO(1)\n\nO(2)", "expected ',' at offset 7 in"),
+    ("  X(1,3,2,4),X(3,1,4,2) , ", "trailing ',' at offset 24 in"),
+    ("\tO(3), X(0,1,2,3)", "arc label 0 in the token at offset 7 in"),
+])
+def test_token_offsets_count_in_the_quoted_text(text, message):
+    with pytest.raises(errors.MalformedToken, match="^" + re.escape(
+            "%s %r" % (message, text))):
+        parse_pd(text)
 
 
 def test_unpaired_arc_label():
@@ -75,7 +97,6 @@ def test_over_only_component_leaves_along_smaller_over_arc():
     # the smaller over-arc 1 leaves, so the strand runs 1 -> 8 -> 5 -> 4
     d = parse_pd("X(2,4,3,1),X(3,4,6,5),X(6,8,7,5),X(7,8,2,1)")
     assert d.components == ((1, 8, 5, 4), (2, 3, 6, 7))
-    assert d.over_to_b == (False, True, False, True)
     assert d.signs == (-1, 1, -1, 1)
 
 
@@ -119,12 +140,6 @@ def test_chain_end_components_do_not_link():
     assert abs(linking_number(d, 1, 2)) == 1
 
 
-def test_same_component_error():
-    d = parse_pd(HOPF)
-    with pytest.raises(errors.SameComponent):
-        linking_number(d, 0, 0)
-
-
 def test_linking_matrix_hopf():
     fl = FramedLink(parse_pd(HOPF), (0, 0))
     assert linking_matrix(fl).entries == ((0, 1), (1, 0))
@@ -141,17 +156,20 @@ def test_linking_matrix_unlink_framings():
 
 
 def test_framings_length_checked():
-    with pytest.raises(ValueError):
-        FramedLink(parse_pd(HOPF), (0,))
-    with pytest.raises(ValueError):
-        FramedLink(LinkDiagram((), (), (), (), ()), ())
+    for diagram, framings in ((parse_pd(HOPF), (0,)),
+                              (LinkDiagram((), (), (), ()), ())):
+        with pytest.raises(ValueError) as info:
+            FramedLink(diagram, framings)
+        assert isinstance(info.value, errors.FukayaFlowError)
 
 
 def test_symmetry_on_all_fixtures():
+    # lk(K_i, K_j) is the signed count of i over j, and of j over i
     for name in fixture_names():
         d = fixture(name).diagram
         for i, j in itertools.combinations(range(d.component_count), 2):
-            assert linking_number(d, i, j) == linking_number(d, j, i)
+            assert over_count(d, i, j) == over_count(d, j, i) \
+                == linking_number(d, i, j)
 
 
 def test_reversal_negates_linking_numbers():
@@ -188,7 +206,7 @@ def test_trefoil_writhe():
 def test_relabeling_invariance():
     # renaming arcs by a random bijection and shuffling the crossing
     # list leaves the linking data unchanged up to component reorder
-    rng = __import__("random").Random(41)
+    rng = random.Random(41)
     for name in ("hopf", "trefoil", "3-chain", "hopf-kink"):
         d = fixture(name).diagram
         labels = sorted({a for q in d.crossings for a in q}
@@ -316,19 +334,19 @@ def test_linking_matrix_matches_over_count(fl):
         if i == j:
             assert m[i][i] == fl.framings[i]
         else:
-            assert m[i][j] == over_count(d, i, j) == linking_number(d, i, j)
+            assert m[i][j] == over_count(d, i, j)
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(shuffled_unions())
 def test_components_follow_the_crossings(fl):
     # read off the stored crossings alone: the under-strand runs a -> c,
-    # the over-strand d -> b when over_to_b is set and b -> d otherwise;
-    # a crossingless circle's one arc follows itself
+    # the over-strand d -> b at a positive crossing and b -> d at a
+    # negative one; a crossingless circle's one arc follows itself
     d = fl.diagram
     follows = {(a, a) for a in d.circles}
-    for (a, b, c, e), to_b in zip(d.crossings, d.over_to_b):
-        follows |= {(a, c), (e, b) if to_b else (b, e)}
+    for (a, b, c, e), sign in zip(d.crossings, d.signs):
+        follows |= {(a, c), (e, b) if sign > 0 else (b, e)}
     steps = {(comp[i - 1], comp[i]) for comp in d.components
              for i in range(len(comp))}
     assert steps == follows
@@ -349,6 +367,31 @@ def test_reversal_flips_row_and_column(fl, data):
     for i, j in itertools.product(range(k), repeat=2):
         flip = -1 if (i == comp) != (j == comp) else 1
         assert after[i][j] == flip * before[i][j]
+
+
+def spaced(text, rng):
+    """text with runs of spaces, tabs and newlines before and after
+    each token head X( or O(, number, comma and closing parenthesis,
+    never inside a number or between a head's letter and its '('."""
+    lexemes = re.findall(r"[XO]\(|\d+|[,)]", text)
+    gaps = ["".join(rng.choice(" \t\n") for _ in range(rng.randrange(3)))
+            for _ in range(len(lexemes) + 1)]
+    return "".join(g + x for g, x in zip(gaps, lexemes)) + gaps[-1]
+
+
+def test_whitespace_around_lexemes_does_not_change_the_diagram():
+    rng = random.Random(5)
+    texts = [pd for pd, _ in links.load_catalog().values()]
+    for _ in range(200):
+        strands = rng.randint(2, 5)
+        texts.append(braid_closure_pd(strands, [
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(0, 12))]))
+    for text in texts:
+        pd = parse_pd(text).to_pd_text()
+        plain = parse_pd(pd)
+        for _ in range(3):
+            assert parse_pd(spaced(pd, rng)) == plain
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -405,10 +448,12 @@ def test_linking_matrix_must_be_square_and_symmetric():
     assert links.LinkingMatrix(((1, 2), (2, -1))).size == 2
     assert links.LinkingMatrix(()).size == 0
     for entries in (((1, 2),), ((0, 1), (0,)), ((0,), (1, 2))):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match="square") as info:
             links.LinkingMatrix(entries)
+        assert isinstance(info.value, errors.FukayaFlowError)
     for entries in (((0, 1), (2, 0)), ((0, 1, 0), (1, 0, 0), (0, 1, 0))):
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match="symmetric") as info:
             links.LinkingMatrix(entries)
+        assert isinstance(info.value, errors.FukayaFlowError)
     # rows given as lists are compared by their entries
     assert links.LinkingMatrix([[0, 3], [3, 0]]).framing(1) == 0
