@@ -78,6 +78,12 @@ class DifferentialNotSquareZero(FukayaFlowError):
     """The differential of a claimed chain complex does not square to zero."""
 
 
+class MalformedComplex(FukayaFlowError, ValueError):
+    """A cascade complex asked for Betti numbers carries no degrees, or
+    its differential does not drop degree by one; or an evaluation map
+    has other than one offset per row."""
+
+
 class UnsupportedModel(FukayaFlowError):
     """Morse-Bott data outside the modelled range: a flat model with more
     than two circle factors or names that miss the point grid or repeat,

@@ -33,10 +33,11 @@ pure function.
 
 Cost: a diagram computes its arc -> component map and a per-crossing
 (under, over) component table once, on first use, and every consumer
-(crossing_components, self_writhe, linking_matrix) reads that table.
+(self_writhe, linking_matrix, morse.handle_complex_from_link) reads it.
 Parsing is linear in the number n of crossings: one regex match per
-token, strand walks that enter each crossing twice, and a planarity
-check of one union-find and one walk over the 4n darts.  The linking
+token, one dict pass that pairs the 4n darts, strand walks that enter
+each crossing twice, and a planarity check of one depth-first search
+per piece that walks each of the 4n darts into one face.  The linking
 matrix, whose off-diagonal entries are the linking numbers, is one
 pass over the crossings, O(n + k^2) for k components.
 """
@@ -156,13 +157,15 @@ def _tokenize(text: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
     pos = 0
     while True:
         m = _TOKEN.match(text, pos)
-        if m.group(1) is None:
+        token, a, b, c, d, circle = m.groups()
+        if token is None:
             if m.end() == len(text):
                 raise MalformedToken("trailing ',' at offset %d in %r"
                                      % (pos - 1, text))
             raise MalformedToken(
                 "bad token at offset %d in %r" % (m.end(), text))
-        labels = tuple(int(a) for a in m.groups()[1:] if a is not None)
+        labels = ((int(a), int(b), int(c), int(d)) if circle is None
+                  else (int(circle),))
         if 0 in labels:
             raise MalformedToken(
                 "arc label 0 in the token at offset %d in %r; arc labels "
@@ -183,17 +186,20 @@ def _tokenize(text: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
 def _dart_table(labels: list[int]) -> list[int]:
     """The partner of each dart: dart 4 ci + p is the end at crossing
     ci, position p, of the arc labels[4 ci + p], and partner[dart] is
-    the other end of that arc.  Raises ArcLabelNotPairedTwice unless
-    every label occurs exactly twice."""
-    ends: dict[int, list[int]] = {}
+    the other end of that arc.  Raises ArcLabelNotPairedTwice, naming
+    the first label to occur other than twice, unless there are twice
+    as many darts as labels and none is left unpaired."""
+    first: dict[int, int] = {}  # label -> its first dart
+    partner = [-1] * len(labels)
     for dart, arc in enumerate(labels):
-        ends.setdefault(arc, []).append(dart)
-    partner = [0] * len(labels)
-    for arc, occ in ends.items():
-        if len(occ) != 2:
-            raise ArcLabelNotPairedTwice(
-                "arc %d occurs %d times" % (arc, len(occ)))
-        partner[occ[0]], partner[occ[1]] = occ[1], occ[0]
+        other = first.setdefault(arc, dart)
+        if other != dart:
+            partner[dart], partner[other] = other, dart
+    if 2 * len(first) != len(labels) or -1 in partner:
+        counts = Counter(labels)
+        arc = next(a for a, count in counts.items() if count != 2)
+        raise ArcLabelNotPairedTwice(
+            "arc %d occurs %d times" % (arc, counts[arc]))
     return partner
 
 
@@ -254,40 +260,40 @@ def _check_planar(partner: list[int]) -> None:
     V crossings and E = 2V arcs, has the E - V + 2 faces of a planar
     4-valent graph.
 
-    A dart is an arrival at its crossing along its arc; a face walk
-    turns counter-clockwise and leaves via the arc at the next position,
-    so one step from dart 4 ci + p is partner[4 ci + (p + 1) % 4].  The
-    error names the smallest crossing (1-based) of a piece that fails.
+    A depth-first search along the arcs from each piece's smallest
+    crossing counts its crossings, and the faces walked from the darts
+    it reaches.  A dart is an arrival at its crossing along its arc; a
+    face walk turns counter-clockwise and leaves via the arc at the next
+    position, so one step from dart 4 ci + p is partner[4 ci + (p + 1)
+    % 4].  The error names the smallest crossing (1-based) of the
+    first piece, in that order, that fails.
     """
-    n = len(partner) // 4
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for dart, other in enumerate(partner):
-        parent[find(dart // 4)] = find(other // 4)
-    roots = [find(ci) for ci in range(n)]
-    sizes = Counter(roots)
-    faces: Counter = Counter()
+    reached = [False] * (len(partner) // 4)
     seen = [False] * len(partner)
-    for first in range(len(partner)):
-        if seen[first]:
+    for start in range(len(reached)):
+        if reached[start]:
             continue
-        faces[roots[first // 4]] += 1
-        dart = first
-        while not seen[dart]:
-            seen[dart] = True
-            dart = partner[dart - dart % 4 + (dart + 1) % 4]
-    for ci, root in enumerate(roots):
-        if faces[root] != sizes[root] + 2:
+        reached[start] = True
+        stack, size, faces = [start], 0, 0
+        while stack:
+            ci = stack.pop()
+            size += 1
+            for first in range(4 * ci, 4 * ci + 4):
+                other = partner[first] // 4
+                if not reached[other]:
+                    reached[other] = True
+                    stack.append(other)
+                if not seen[first]:
+                    faces += 1
+                    dart = first
+                    while not seen[dart]:
+                        seen[dart] = True
+                        dart = partner[dart - dart % 4 + (dart + 1) % 4]
+        if faces != size + 2:
             raise NonPlanarPD(
                 "crossing %d: its piece of %d crossings has %d faces, "
                 "expected %d; the PD code is not planar"
-                % (ci + 1, sizes[root], faces[root], sizes[root] + 2))
+                % (start + 1, size, faces, size + 2))
 
 
 def parse_pd(text: str) -> LinkDiagram:
@@ -306,7 +312,7 @@ def parse_pd(text: str) -> LinkDiagram:
     partner = _dart_table(labels)
     signs, components = _walk_strands(labels, partner)
     _check_planar(partner)
-    return LinkDiagram(tuple(tuple(q) for q in quadruples), tuple(circles),
+    return LinkDiagram(tuple(quadruples), tuple(circles),
                        tuple(sorted(components + [(a,) for a in circles])),
                        tuple(signs))
 

@@ -44,9 +44,10 @@ from typing import Mapping, Optional
 
 from . import f2
 from .errors import (ActionOrderViolation, DifferentialNotSquareZero,
-                     DuplicateGeneratorName, NegativeCascadeCount,
-                     NonTransverse, ShapeMismatch, TooManyTranslates,
-                     UnknownComponent, UnknownGenerator, UnsupportedModel)
+                     DuplicateGeneratorName, MalformedComplex,
+                     NegativeCascadeCount, NonTransverse, ShapeMismatch,
+                     TooManyTranslates, UnknownComponent, UnknownGenerator,
+                     UnsupportedModel)
 from .links import FramedLink
 
 Frac = Fraction
@@ -206,7 +207,7 @@ class AffineMap:
 
     def __post_init__(self):
         if len(self.rows) != len(self.offsets):
-            raise ValueError("one offset per row")
+            raise MalformedComplex("one offset per row")
         # the intersection kernel's lattice search needs integer rows
         if not all(isinstance(a, int) for row in self.rows for a in row):
             raise UnsupportedModel("an evaluation map needs an integer "
@@ -554,8 +555,10 @@ class CascadeComplex:
             cols.append(v)
         for g, col in zip(self.generators, cols):
             acc = 0
-            for i in f2.bits(col):
-                acc ^= cols[i]
+            while col:
+                top = col.bit_length() - 1
+                acc ^= cols[top]
+                col ^= 1 << top
             if acc:
                 raise DifferentialNotSquareZero(
                     "d(d %s) = %r" % (g, [self.generators[i]
@@ -567,23 +570,30 @@ class CascadeComplex:
 
     def homology_basis(self) -> tuple[str, ...]:
         """Representatives of a homology basis, chosen among single
-        generators whenever possible."""
+        generators whenever possible.
+
+        One elimination of the columns spans the image B and gives a
+        basis of the cycles Z.  The single-generator cycles, then that
+        basis, are added in turn; one left with a nonzero residual is new
+        in homology and raises the span by one.  After dim Z - dim B of
+        them the span is Z and every later cycle would leave residual 0,
+        so stopping there keeps the basis a full pass would give."""
         cols = self._cols
-        # one elimination: the columns it absorbs give the kernel, and
-        # its span, the image, absorbs what is zero in homology
         classes, kernel = f2.Reducer(), []
         for c in cols:
             residual, combo = classes.add(c)
             if not residual:
                 kernel.append(combo)
-        reps = []
-        # single-generator cycles first; add() leaves a nonzero residual
-        # exactly for a cycle that is new in homology
+        reps: list[str] = []
+        dim = len(kernel) - classes.rank
         for i, g in enumerate(self.generators):
+            if len(reps) == dim:
+                return tuple(reps)
             if cols[i] == 0 and classes.add(1 << i)[0]:
                 reps.append(g)
-        # remaining kernel classes (cycles supported on several generators)
         for combo in kernel:
+            if len(reps) == dim:
+                break
             if classes.add(combo)[0]:
                 reps.append("+".join(self.generators[i]
                                      for i in f2.bits(combo)))
@@ -593,20 +603,27 @@ class CascadeComplex:
         """Per-degree Betti numbers; requires the differential to drop
         the stored degree by exactly one."""
         if not self.degrees:
-            raise ValueError("complex carries no degrees")
+            raise MalformedComplex("complex carries no degrees")
         missing = [g for g in self.generators if g not in self.degrees]
         if missing:
             raise UnknownGenerator("generator %s has no degree" % missing[0])
-        for g in self.generators:
-            for h in self.differential.get(g, ()):
-                if self.degrees[h] != self.degrees[g] - 1:
-                    raise ValueError(
-                        "differential does not drop degree by one")
         cols_by_degree: dict[int, list[int]] = {}
-        for g, col in zip(self.generators, self._cols):
-            cols_by_degree.setdefault(self.degrees[g], []).append(col)
+        masks: dict[int, int] = {}  # the generators of each degree
+        for i, (g, col) in enumerate(zip(self.generators, self._cols)):
+            d = self.degrees[g]
+            if d in masks:
+                cols_by_degree[d].append(col)
+                masks[d] |= 1 << i
+            else:
+                cols_by_degree[d], masks[d] = [col], 1 << i
+        for d, cols in cols_by_degree.items():
+            outside = ~masks.get(d - 1, 0)
+            if any(col & outside for col in cols):
+                raise MalformedComplex(
+                    "differential does not drop degree by one")
         # b_d = n_d - rank(d on degree d) - rank(d on degree d + 1)
-        rank = {d: f2.rank(cols) for d, cols in cols_by_degree.items()}
+        rank = {d: f2.rank(filter(None, cols))
+                for d, cols in cols_by_degree.items()}
         return tuple(len(cols_by_degree.get(d, ())) - rank.get(d, 0)
                      - rank.get(d + 1, 0)
                      for d in range(max(self.degrees.values()) + 1))
@@ -848,63 +865,55 @@ def handle_complex_from_link(fl: FramedLink) -> CascadeComplex:
     """
     diagram = fl.diagram
     k = diagram.component_count
-
-    gens: list[str] = []
-    degrees: dict[str, int] = {}
-    comp_of: dict[str, str] = {}
-    diff: dict[str, tuple[str, ...]] = {}
-
-    def add(name, degree, component="handle", boundary=()):
-        gens.append(name)
-        degrees[name] = degree
-        comp_of[name] = component
-        diff[name] = tuple(sorted(boundary))
-
-    for j in range(1, k + 1):
-        tag = "torus_%d" % j
-        for name, degree in (("z0", 0), ("z1", 1), ("z1'", 1), ("z2", 2)):
-            add("%s^%d" % (name, j), degree, tag)
-    for j in range(1, k):
-        add("Q^%d" % j, 1, boundary=("z0^%d" % j, "z0^%d" % (j + 1)))
-
     # the arc in position 0 of a crossing ends an under-passage, so the
-    # next arc of its component starts a new over-arc; runs[j] numbers
-    # the over-arcs of component j in circuit order
+    # next arc of its component starts a new over-arc; the over-arcs
+    # are numbered 1, 2, ... in circuit order, component by component,
+    # and component j's are firsts[j] .. firsts[j + 1] - 1
     under_ends = {quad[0] for quad in diagram.crossings}
     over_arc: dict[int, int] = {}
-    runs: list[list[int]] = []
-    numbers = itertools.count(1)
+    firsts = [1]
     for comp in diagram.components:
         cut = next((i for i, a in enumerate(comp) if a in under_ends), -1)
-        run: list[int] = []
-        starts = True
+        n = firsts[-1]
         for a in comp[cut + 1:] + comp[:cut + 1]:
-            if starts:
-                run.append(next(numbers))
-            over_arc[a] = run[-1]
-            starts = a in under_ends
-        runs.append(run)
-    for run in runs:
-        for n in run:
-            add("A^%d" % n, 1)
-    for run in runs:
-        for n, m in zip(run, run[1:] + run[:1]):
-            add("J^%d" % n, 2, boundary={"A^%d" % n} ^ {"A^%d" % m})
+            over_arc[a] = n
+            n += a in under_ends
+        # a component that never passes under is one over-arc
+        firsts.append(max(n, firsts[-1] + 1))
+    runs = [range(f, e) for f, e in zip(firsts, firsts[1:])]
+    arc = ["A^%d" % n for n in range(firsts[-1])]  # arc[n] names A^n
 
-    # each sign is +-1, so w_j = (self-crossings of j) mod 2
-    longitude = [{"z1^%d" % j} ^ ({"z1'^%d" % j} if f % 2 else set())
-                 for j, f in enumerate(fl.framings, 1)]
-    for ci, (_, b, _, _) in enumerate(diagram.crossings):
-        cu, co = diagram.crossing_components(ci)
-        longitude[cu] ^= {"A^%d" % over_arc[b]}
-        if cu == co:
-            longitude[cu] ^= {"z1'^%d" % (cu + 1)}
-    for j, run in enumerate(runs, 1):
-        add("M^%d" % j, 2, boundary=("z1'^%d" % j, "A^%d" % run[0]))
-        add("L^%d" % j, 2, boundary=longitude[j - 1])
-    for j, run in enumerate(runs, 1):
-        add("D^%d" % j, 3,
-            boundary=["z2^%d" % j] + ["J^%d" % n for n in run])
-    add("p''", 3, boundary=["z2^%d" % j for j in range(1, k + 1)])
+    # longitude j: the over-arcs that j passes under, and the parity of
+    # f_j + w_j; each sign is +-1, so w_j = (self-crossings of j) mod 2
+    overs: list[set[int]] = [set() for _ in range(k)]
+    twist = list(fl.framings)
+    for (cu, co), (_, b, _, _) in zip(diagram._crossing_table,
+                                      diagram.crossings):
+        overs[cu] ^= {over_arc[b]}
+        twist[cu] += cu == co
 
-    return CascadeComplex(tuple(gens), diff, degrees, comp_of)
+    # (name, degree, component, boundary), each boundary sorted
+    cells = [("%s^%d" % (name, j), degree, "torus_%d" % j, ())
+             for j in range(1, k + 1)
+             for name, degree in (("z0", 0), ("z1", 1), ("z1'", 1),
+                                  ("z2", 2))]
+    cells += [("Q^%d" % j, 1, "handle",
+               tuple(sorted(("z0^%d" % j, "z0^%d" % (j + 1)))))
+              for j in range(1, k)]
+    cells += [(a, 1, "handle", ()) for a in arc[1:]]
+    cells += [("J^%d" % n, 2, "handle", tuple(sorted({arc[n]} ^ {arc[m]})))
+              for run in runs for n, m in zip(run, [*run[1:], run[0]])]
+    cells += [cell for j, run in enumerate(runs, 1) for cell in (
+        ("M^%d" % j, 2, "handle", (arc[run[0]], "z1'^%d" % j)),
+        ("L^%d" % j, 2, "handle", tuple(sorted(
+            [arc[n] for n in overs[j - 1]] + ["z1^%d" % j]
+            + ["z1'^%d" % j] * (twist[j - 1] % 2)))))]
+    cells += [("D^%d" % j, 3, "handle",
+               tuple(sorted(["z2^%d" % j] + ["J^%d" % n for n in run])))
+              for j, run in enumerate(runs, 1)]
+    cells.append(("p''", 3, "handle",
+                  tuple(sorted("z2^%d" % j for j in range(1, k + 1)))))
+    names, degrees, components, boundaries = zip(*cells)
+    return CascadeComplex(names, dict(zip(names, boundaries)),
+                          dict(zip(names, degrees)),
+                          dict(zip(names, components)))

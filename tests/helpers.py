@@ -3,7 +3,8 @@ component of a diagram, a presentation's reduced form, a
 representation's JSON form, the relation families among the composite
 classes of a link-built flow category, the name-based references for
 the categories' bitmask tables (composition, regular representation
-and the Theorem-B comparison, read from generator names), and the
+and the Theorem-B comparison, read from generator names), the
+homology-basis reference without its stop at dim H, and the
 independent quiver oracles (the GL(d_v, F2) orbit enumeration and the
 dense row-product relation evaluator) with their own row arithmetic and
 fixtures."""
@@ -20,6 +21,7 @@ from fukaya_flow.flow import DirectedCategoryPresentation, \
     flow_generator_names
 from fukaya_flow.homology import F2Presentation
 from fukaya_flow.links import LinkDiagram, LinkingMatrix
+from fukaya_flow.morse import CascadeComplex
 from fukaya_flow.quiver import QuiverPresentation, QuiverRepresentation
 
 
@@ -220,6 +222,34 @@ def reference_compare(fukaya: DirectedCategoryPresentation,
                     mismatches.append("table entry (%s, %s): %r -> %r != %r"
                                       % (u, v, left, translated, right))
     return not mismatches, tuple(mismatches)
+
+
+def reference_homology_basis(cx: CascadeComplex) -> tuple[str, ...]:
+    """The oracle for CascadeComplex.homology_basis: the same search
+    with no stop at dim H = dim Z - dim B, so every single-generator
+    cycle and every kernel class is tested against the span.  The
+    columns are packed here from the boundaries the complex reports."""
+    index = {g: i for i, g in enumerate(cx.generators)}
+    cols = [functools.reduce(lambda v, h: v ^ 1 << index[h],
+                             cx.boundary(g), 0) for g in cx.generators]
+    # one elimination: the columns it absorbs give the kernel, and
+    # its span, the image, absorbs what is zero in homology
+    classes, kernel = f2.Reducer(), []
+    for c in cols:
+        residual, combo = classes.add(c)
+        if not residual:
+            kernel.append(combo)
+    reps = []
+    # single-generator cycles first; add() leaves a nonzero residual
+    # exactly for a cycle that is new in homology
+    for i, g in enumerate(cx.generators):
+        if cols[i] == 0 and classes.add(1 << i)[0]:
+            reps.append(g)
+    # remaining kernel classes (cycles supported on several generators)
+    for combo in kernel:
+        if classes.add(combo)[0]:
+            reps.append("+".join(cx.generators[i] for i in f2.bits(combo)))
+    return tuple(reps)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -412,6 +413,40 @@ def test_category_json_stdout_is_pinned():
             digest.update(b"\0")
         assert count == calls, fmt
         assert digest.hexdigest() == sha, fmt
+
+
+_HANDLES_PIN = ("8dbbc4c3f3cb6ccd4cc40311fc434b91"
+                "d96b35b50083328e03977b4a8a1684d3")
+
+
+def test_handles_json_stdout_is_pinned_on_long_diagrams():
+    """`morse-bott handles --format json` on 40 seeded braid closures of
+    2-5 strands and 100-400 crossings, framings in -2..3, hashed call by
+    call as the category pins are, equals the digest taken before the
+    handle complex was built from tables.  The catalog's largest diagram
+    has 4 crossings, so only this pins the complex's layout at the
+    sizes of the long_knots benchmark."""
+    from fukaya_flow.links import parse_pd
+    from test_links import braid_closure_pd
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(100, 400))]
+        pd = braid_closure_pd(strands, word)
+        framings = [rng.randint(-2, 3)
+                    for _ in range(parse_pd(pd).component_count)]
+        argv = ["morse-bott", "handles", "--pd", pd,
+                "--framings=" + ",".join(map(str, framings)),
+                "--format", "json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        digest.update(("\0".join(argv) + "\n").encode())
+        digest.update(out.getvalue().encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == _HANDLES_PIN
 
 
 def test_benchmark_tracer_installs():

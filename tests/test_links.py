@@ -64,10 +64,18 @@ def test_token_offsets_count_in_the_quoted_text(text, message):
 
 
 def test_unpaired_arc_label():
-    with pytest.raises(errors.ArcLabelNotPairedTwice):
-        parse_pd("X(1,3,2,4),X(3,1,4,5)")
-    with pytest.raises(errors.ArcLabelNotPairedTwice):
-        parse_pd("X(1,3,2,4),X(3,1,4,2),O(1)")
+    for text, message in [
+        ("X(1,3,2,4),X(3,1,4,5)", "arc 2 occurs 1 times"),
+        ("X(1,3,2,4),X(3,1,4,2),O(1)", "circle arc 1 reused elsewhere"),
+        ("X(1,2,1,3),X(3,1,4,4)", "arc 1 occurs 3 times"),
+        ("X(1,3,2,4),X(3,1,4,2),X(1,3,2,4),X(3,1,4,2)",
+         "arc 1 occurs 4 times"),
+        # arcs 9 and 4 occur once each: the first to occur is named
+        ("X(9,1,2,3),X(1,2,3,4)", "arc 9 occurs 1 times"),
+    ]:
+        with pytest.raises(errors.ArcLabelNotPairedTwice,
+                           match="^%s$" % re.escape(message)):
+            parse_pd(text)
 
 
 def test_inconsistent_orientation():
@@ -107,6 +115,12 @@ def test_nonplanar_pd_rejected():
     # the same piece after a planar Hopf piece: its smallest crossing
     with pytest.raises(errors.NonPlanarPD, match="crossing 3: "):
         parse_pd("X(1,3,2,4),X(3,1,4,2),X(5,7,6,8),X(6,8,7,5)")
+    # after two planar Hopf pieces, with the full message
+    with pytest.raises(errors.NonPlanarPD, match=re.escape(
+            "crossing 5: its piece of 2 crossings has 2 faces, expected 4; "
+            "the PD code is not planar")):
+        parse_pd("X(1,3,2,4),X(3,1,4,2),X(5,7,6,8),X(7,5,8,6),"
+                 "X(9,11,10,12),X(10,12,11,9)")
 
 
 def test_circle_components():

@@ -23,6 +23,7 @@ from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
                                intersect_cell_groups, projection_map,
                                square_torus, standard_lower_pair,
                                standard_upper_pair, two_point_profile)
+from helpers import reference_homology_basis
 from test_links import braid_closure_pd, over_count
 
 CATALOG = ("unknot", "2-unlink", "3-unlink", "hopf", "trefoil", "3-chain",
@@ -78,6 +79,23 @@ def test_unknown_generators_in_complex_named():
         cx.betti_by_degree()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CascadeComplex(("a",), {}).betti_by_degree(),
+    # d keeps the degree of a
+    lambda: CascadeComplex(("a", "b"), {"a": ("b",)},
+                           {"a": 1, "b": 1}).betti_by_degree(),
+    # d a lands in degree 0, and no generator has degree 1
+    lambda: CascadeComplex(("a", "b"), {"a": ("b",)},
+                           {"a": 2, "b": 0}).betti_by_degree(),
+    lambda: AffineMap(((1, 0),), (F(0), F(0))),
+], ids=("no-degrees", "degree-kept", "empty-degree", "offset-count"))
+def test_malformed_complex_is_a_package_error(build):
+    with pytest.raises(errors.FukayaFlowError) as info:
+        build()
+    assert isinstance(info.value, errors.MalformedComplex)
+    assert isinstance(info.value, ValueError)
+
+
 def test_translation_invariance_of_marked_points():
     base = {}
     upper, lower, corr = standard_upper_pair()
@@ -105,7 +123,9 @@ def test_action_order_enforced():
         differential_case_I(lower, upper, swapped)
 
 
-def test_random_correspondences_square_zero():
+def _random_case_one_complexes():
+    """Case-I complexes of random transverse correspondences from a
+    torus onto a circle: 25 of them, from at most 200 trials."""
     rng = random.Random(5)
     denominators = (16, 5, 7, 11, 13)
     count = 0
@@ -131,6 +151,12 @@ def test_random_correspondences_square_zero():
         except errors.NonTransverse:
             continue
         count += 1
+        yield cx
+    assert count >= 25
+
+
+def test_random_correspondences_square_zero():
+    for cx in _random_case_one_complexes():
         # constructor already verifies d^2 = 0; double-check ranks add
         # up: dim H = dim C - 2 rank d
         index = {g: i for i, g in enumerate(cx.generators)}
@@ -138,7 +164,6 @@ def test_random_correspondences_square_zero():
             operator.xor, (1 << index[h] for h in cx.boundary(g)), 0)
             for g in cx.generators])
         assert len(cx.homology_basis()) == len(cx.generators) - 2 * rank
-    assert count >= 25
 
 
 def _names_for(min_pos):
@@ -718,6 +743,32 @@ def test_handle_complex_matches_oracle_on_braid_closures(strands):
         framings = tuple(rng.randint(-2, 3)
                          for _ in range(d.component_count))
         _assert_classes(FramedLink(d, framings))
+
+
+def test_homology_basis_matches_the_reference():
+    """The stop at dim H changes no basis: equal tuples with the full
+    reference on both case-I complexes, the random case-I complexes,
+    every framed catalog handle complex and 100 seeded braid closures
+    of 100-400 crossings."""
+    cases = [differential_case_I(*standard_upper_pair()),
+             differential_case_I(*standard_lower_pair()),
+             *_random_case_one_complexes()]
+    for name in CATALOG:
+        k = fixture(name).diagram.component_count
+        cases += [handle_complex_from_link(fixture(name, framings))
+                  for framings in itertools.product((-1, 0, 1, 2),
+                                                    repeat=k)]
+    assert len(cases) == 2 + 25 + 188
+    rng = random.Random(29)
+    for _ in range(100):
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(100, 400))]
+        d = parse_pd(braid_closure_pd(strands, word))
+        cases.append(handle_complex_from_link(FramedLink(
+            d, tuple(rng.randint(-2, 3) for _ in range(d.component_count)))))
+    for cx in cases:
+        assert cx.homology_basis() == reference_homology_basis(cx)
 
 
 def test_handle_complex_extra_diagrams():
