@@ -57,6 +57,11 @@ class DuplicateGeneratorName(FukayaFlowError):
     name."""
 
 
+class MalformedCategory(FukayaFlowError, ValueError):
+    """A directed category presentation whose hom layers, object names,
+    table keys or products do not fit; the message names which."""
+
+
 # --- Morse-Bott machinery ---
 
 class NonTransverse(FukayaFlowError):
@@ -79,9 +84,9 @@ class DifferentialNotSquareZero(FukayaFlowError):
 
 
 class MalformedComplex(FukayaFlowError, ValueError):
-    """A cascade complex asked for Betti numbers carries no degrees, or
-    its differential does not drop degree by one; or an evaluation map
-    has other than one offset per row."""
+    """A cascade complex asked for Betti numbers carries no degrees or a
+    negative one, or its differential does not drop degree by one; or
+    an evaluation map has other than one offset per row."""
 
 
 class UnsupportedModel(FukayaFlowError):
@@ -102,8 +107,8 @@ class UnknownComponent(FukayaFlowError):
 
 
 class UnknownGenerator(FukayaFlowError):
-    """A generator name belongs to no critical component or cascade
-    complex, or a complex's generator has no degree."""
+    """A differential, degree or cascade query names no generator of the
+    complex or components, or a complex's generator has no degree."""
 
 
 class NegativeCascadeCount(FukayaFlowError):

@@ -18,12 +18,12 @@ class Reducer:
 
     Rows are numbered in the order they are added.  Each pivot row is
     stored with its combination: the bitmask of added row numbers whose
-    sum it is.
+    sum it is.  mask has a bit set at each pivot position.
     """
 
     def __init__(self, rows: Iterable[int] = ()) -> None:
         self._pivots: dict[int, tuple[int, int]] = {}
-        self._mask = 0  # the pivot positions
+        self.mask = 0
         self._count = 0
         for row in rows:
             self.add(row)
@@ -34,14 +34,14 @@ class Reducer:
         canonical representative of v modulo the span; it is zero
         exactly when v lies in the span."""
         combo = 0
-        hits = v & self._mask
+        hits = v & self.mask
         while hits:
             # a pivot row has no bits above its pivot, so clearing the
             # pivots highest first never sets one already cleared
             row, row_combo = self._pivots[hits.bit_length() - 1]
             v ^= row
             combo ^= row_combo
-            hits = v & self._mask
+            hits = v & self.mask
         return v, combo
 
     def add(self, v: int) -> tuple[int, int]:
@@ -54,7 +54,7 @@ class Reducer:
         if v:
             p = v.bit_length() - 1
             self._pivots[p] = (v, combo)
-            self._mask |= 1 << p
+            self.mask |= 1 << p
         return v, combo
 
     def express(self, v: int) -> Optional[int]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DuplicateGeneratorName
+from .errors import DuplicateGeneratorName, MalformedCategory
 from .homology import ComplementHomology, F2Presentation, \
     complement_homology
 from .links import FramedLink, linking_matrix
@@ -54,9 +54,10 @@ class DirectedCategoryPresentation:
     def __post_init__(self):
         k = len(self.middles)
         if len(self.hom_top_mid) != k or len(self.hom_mid_bottom) != k:
-            raise ValueError("hom layers out of step with middle objects")
+            raise MalformedCategory(
+                "hom layers out of step with middle objects")
         if len(set(self.objects)) != len(self.objects):
-            raise ValueError("object names must be distinct")
+            raise MalformedCategory("object names must be distinct")
         for layer in (*self.hom_top_mid, *self.hom_mid_bottom):
             if len(set(layer)) != len(layer):
                 raise DuplicateGeneratorName(
@@ -65,11 +66,11 @@ class DirectedCategoryPresentation:
         for key, product in self.table.items():
             mid, u, v = key
             if not 0 <= mid < k:
-                raise ValueError("table key %r names no middle object"
-                                 % (key,))
+                raise MalformedCategory(
+                    "table key %r names no middle object" % (key,))
             for g, layer in ((u, self.hom_top_mid), (v, self.hom_mid_bottom)):
                 if g not in layer[mid]:
-                    raise ValueError(
+                    raise MalformedCategory(
                         "table key %r: generator %r is not a morphism of "
                         "middle object %s" % (key, g, self.middles[mid]))
             try:
@@ -78,7 +79,7 @@ class DirectedCategoryPresentation:
                 elif product < 0 or product >> len(target.generators):
                     raise KeyError("bitmask %#x" % product)
             except KeyError as exc:
-                raise ValueError(
+                raise MalformedCategory(
                     "table key %r: product generator %r is not a morphism "
                     "of hom(%s, %s)" % (key, exc.args[0], self.top,
                                         self.bottom)) from None

@@ -1,13 +1,14 @@
 """Named-generator presentations over Z/2 and link-complement homology.
 
 An F2Presentation is a Z/2 vector space given by named generators and
-linear relations.  It runs one elimination, an f2.Reducer over the
-relations: canonicalize() reduces modulo it, and the reduced rows and
-the canonical basis (the pivot-free generators, with generator order as
-column order) are read from it.  Generators carry names only, no degree
-or component tags.  The directed categories of flow.py keep one, for
-hom(top, bottom), and store their composition-table entries as its
-canonical bitmasks; their free middle hom spaces are name tuples.
+linear relations.  It stores one elimination, an f2.Reducer over the
+relations: canonicalize() reduces modulo it, dim and the canonical
+basis (the pivot-free generators, in generator order) read its rank
+and pivot mask, and to_json() reduces its rows when it prints them.
+Generators carry names only, no degree or component tags.  The directed
+categories of flow.py keep one, for hom(top, bottom), and store their
+composition-table entries as its canonical bitmasks; their free middle
+hom spaces are name tuples.
 
 complement_homology() produces the presentation, in each homological
 degree 0..3, of the homology of a framed-link complement: one point
@@ -20,11 +21,11 @@ three.  The Z/2 Betti numbers are (1, k, k-1, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import f2
-from .errors import DuplicateGeneratorName
+from .errors import DuplicateGeneratorName, MalformedLink
 from .links import LinkingMatrix
 
 
@@ -42,7 +43,6 @@ class F2Presentation:
         self.relations = tuple([r if isinstance(r, int) else self.vector(r)
                                 for r in relations])
         self._span = f2.Reducer(self.relations)
-        self._rref, self._pivots = f2.rref(self._span)
 
     # --- vector helpers -------------------------------------------------
 
@@ -61,12 +61,11 @@ class F2Presentation:
     @property
     def basis(self) -> tuple[str, ...]:
         """Canonical basis: generators that are not relation pivots."""
-        piv = set(self._pivots)
-        return tuple(g for i, g in enumerate(self.generators) if i not in piv)
+        return self.names(~self._span.mask & (1 << len(self.generators)) - 1)
 
     @property
     def dim(self) -> int:
-        return len(self.generators) - len(self._rref)
+        return len(self.generators) - self._span.rank
 
     def canonicalize(self, v: int) -> int:
         """Rewrite a vector in the canonical basis."""
@@ -90,7 +89,8 @@ class F2Presentation:
     def to_json(self) -> dict:
         return {
             "generators": list(self.generators),
-            "relations": [sorted(self.names(r)) for r in self._rref],
+            "relations": [sorted(self.names(r))
+                          for r in f2.rref(self._span)[0]],
             "basis": list(self.basis),
             "betti": self.dim,
         }
@@ -102,11 +102,10 @@ class ComplementHomology:
 
     degrees: tuple[F2Presentation, F2Presentation,
                    F2Presentation, F2Presentation]
-    betti: tuple[int, int, int, int] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "betti",
-                           tuple(p.dim for p in self.degrees))
+    @property
+    def betti(self) -> tuple[int, int, int, int]:
+        return tuple(p.dim for p in self.degrees)
 
     def __getitem__(self, degree: int) -> F2Presentation:
         return self.degrees[degree]
@@ -126,7 +125,8 @@ def complement_homology(matrix: LinkingMatrix) -> ComplementHomology:
     """
     k = matrix.size
     if k < 1:
-        raise ValueError("complement homology needs at least one component")
+        raise MalformedLink(
+            "complement homology needs at least one component")
     ell = matrix.entries
 
     q = [f"q^{j + 1}" for j in range(k)]
@@ -136,12 +136,9 @@ def complement_homology(matrix: LinkingMatrix) -> ComplementHomology:
     # and the canonical basis is the meridian classes
     lam = [f"lambda^{j + 1}" for j in range(k)]
     mu = [f"mu^{j + 1}" for j in range(k)]
-    rels1 = []
-    for j in range(k):
-        rel = [lam[j]]
-        rel += [mu[i] for i in range(k) if i != j and ell[j][i] % 2 == 1]
-        rels1.append(rel)
-    deg1 = F2Presentation(mu + lam, rels1)
+    deg1 = F2Presentation(mu + lam, [
+        [lam[j]] + [mu[i] for i in range(k) if i != j and ell[j][i] % 2]
+        for j in range(k)])
 
     du = [f"dU^{j + 1}" for j in range(k)]
     deg2 = F2Presentation(du, [tuple(du)])

@@ -40,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import f2
@@ -524,7 +525,8 @@ def _pull_back(m: int, *pulled: tuple[AffineMap, tuple]
 
 @dataclass(frozen=True)
 class CascadeComplex:
-    """Finite Z/2 chain complex with generators tagged by component."""
+    """Finite Z/2 chain complex with generators tagged by degree and
+    component; one elimination, run once, answers both homology calls."""
 
     generators: tuple[str, ...]
     differential: Mapping[str, tuple[str, ...]]
@@ -539,10 +541,12 @@ class CascadeComplex:
                             if self.generators.index(g) != i)
             raise DuplicateGeneratorName(
                 "generator %s occurs more than once" % repeated)
-        unknown = sorted(self.differential.keys() - index.keys())
-        if unknown:
-            raise UnknownGenerator(
-                "differential given on %s, not a generator" % unknown[0])
+        for what, given in (("differential", self.differential),
+                            ("degree", self.degrees)):
+            unknown = sorted(given.keys() - index.keys())
+            if unknown:
+                raise UnknownGenerator(
+                    "%s given on %s, not a generator" % (what, unknown[0]))
         cols = []
         for g in self.generators:
             v = 0
@@ -568,65 +572,58 @@ class CascadeComplex:
     def boundary(self, name: str) -> tuple[str, ...]:
         return tuple(self.differential.get(name, ()))
 
-    def homology_basis(self) -> tuple[str, ...]:
-        """Representatives of a homology basis, chosen among single
-        generators whenever possible.
-
-        One elimination of the columns spans the image B and gives a
-        basis of the cycles Z.  The single-generator cycles, then that
-        basis, are added in turn; one left with a nonzero residual is new
-        in homology and raises the span by one.  After dim Z - dim B of
-        them the span is Z and every later cycle would leave residual 0,
-        so stopping there keeps the basis a full pass would give."""
+    @cached_property
+    def _homology(self) -> tuple[int, ...]:
+        """Generator masks of the homology representatives.  Eliminating
+        the columns spans the image B and gives a basis of the cycles Z;
+        the single-generator cycles, then that basis, are kept when new
+        modulo the span.  After dim Z - dim B of them the span is Z, so
+        stopping there keeps the basis a full pass would give."""
         cols = self._cols
-        classes, kernel = f2.Reducer(), []
-        for c in cols:
-            residual, combo = classes.add(c)
-            if not residual:
-                kernel.append(combo)
-        reps: list[str] = []
+        classes = f2.Reducer()
+        kernel = [combo for residual, combo in map(classes.add, cols)
+                  if not residual]
+        reps: list[int] = []
         dim = len(kernel) - classes.rank
-        for i, g in enumerate(self.generators):
-            if len(reps) == dim:
-                return tuple(reps)
-            if cols[i] == 0 and classes.add(1 << i)[0]:
-                reps.append(g)
-        for combo in kernel:
+        for cycle in itertools.chain(
+                (1 << i for i, c in enumerate(cols) if c == 0), kernel):
             if len(reps) == dim:
                 break
-            if classes.add(combo)[0]:
-                reps.append("+".join(self.generators[i]
-                                     for i in f2.bits(combo)))
+            if classes.add(cycle)[0]:
+                reps.append(cycle)
         return tuple(reps)
 
+    def homology_basis(self) -> tuple[str, ...]:
+        """Representatives of a homology basis, chosen among single
+        generators whenever possible; a sum is named as g+h+..."""
+        return tuple("+".join(self.generators[i] for i in f2.bits(rep))
+                     for rep in self._homology)
+
     def betti_by_degree(self) -> tuple[int, ...]:
-        """Per-degree Betti numbers; requires the differential to drop
-        the stored degree by exactly one."""
+        """Betti numbers b_0 .. b_top, the homology basis counted by
+        degree.  Every generator needs a degree of at least 0, and d must
+        drop it by one; then each kernel combination is homogeneous and
+        the representatives of degree d are a basis of H_d."""
         if not self.degrees:
             raise MalformedComplex("complex carries no degrees")
         missing = [g for g in self.generators if g not in self.degrees]
         if missing:
             raise UnknownGenerator("generator %s has no degree" % missing[0])
-        cols_by_degree: dict[int, list[int]] = {}
-        masks: dict[int, int] = {}  # the generators of each degree
-        for i, (g, col) in enumerate(zip(self.generators, self._cols)):
-            d = self.degrees[g]
-            if d in masks:
-                cols_by_degree[d].append(col)
-                masks[d] |= 1 << i
-            else:
-                cols_by_degree[d], masks[d] = [col], 1 << i
-        for d, cols in cols_by_degree.items():
-            outside = ~masks.get(d - 1, 0)
-            if any(col & outside for col in cols):
-                raise MalformedComplex(
-                    "differential does not drop degree by one")
-        # b_d = n_d - rank(d on degree d) - rank(d on degree d + 1)
-        rank = {d: f2.rank(filter(None, cols))
-                for d, cols in cols_by_degree.items()}
-        return tuple(len(cols_by_degree.get(d, ())) - rank.get(d, 0)
-                     - rank.get(d + 1, 0)
-                     for d in range(max(self.degrees.values()) + 1))
+        degree = [self.degrees[g] for g in self.generators]
+        negative = [g for g, d in zip(self.generators, degree) if d < 0]
+        if negative:
+            raise MalformedComplex("generator %s has negative degree"
+                                   % negative[0])
+        below = [0] * (max(degree) + 2)  # below[d]: generators of degree d-1
+        for i, d in enumerate(degree):
+            below[d + 1] |= 1 << i
+        outside = [~mask for mask in below]
+        if any(col & outside[d] for col, d in zip(self._cols, degree)):
+            raise MalformedComplex("differential does not drop degree by one")
+        betti = [0] * (max(degree) + 1)
+        for rep in self._homology:
+            betti[degree[rep.bit_length() - 1]] += 1
+        return tuple(betti)
 
     def to_json(self) -> dict:
         return {

@@ -4,7 +4,8 @@ representation's JSON form, the relation families among the composite
 classes of a link-built flow category, the name-based references for
 the categories' bitmask tables (composition, regular representation
 and the Theorem-B comparison, read from generator names), the
-homology-basis reference without its stop at dim H, and the
+homology-basis reference without its stop at dim H, the Betti-number
+reference with one rank per degree, and the
 independent quiver oracles (the GL(d_v, F2) orbit enumeration and the
 dense row-product relation evaluator) with their own row arithmetic and
 fixtures."""
@@ -16,7 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from fukaya_flow import f2
-from fukaya_flow.errors import DimensionTooLarge
+from fukaya_flow.errors import (DimensionTooLarge, MalformedComplex,
+                                UnknownGenerator)
 from fukaya_flow.flow import DirectedCategoryPresentation, \
     flow_generator_names
 from fukaya_flow.homology import F2Presentation
@@ -250,6 +252,34 @@ def reference_homology_basis(cx: CascadeComplex) -> tuple[str, ...]:
         if classes.add(combo)[0]:
             reps.append("+".join(cx.generators[i] for i in f2.bits(combo)))
     return tuple(reps)
+
+
+def reference_betti_by_degree(cx: CascadeComplex) -> tuple[int, ...]:
+    """The oracle for CascadeComplex.betti_by_degree: one f2.rank per
+    degree, b_d = n_d - r_d - r_(d+1) with r_d the rank of d on the
+    generators of degree d, over columns packed here from the
+    boundaries the complex reports.  It refuses what the complex
+    refuses, with the same error classes: no degrees, a generator with
+    no degree, a negative degree, a boundary outside the degree below."""
+    if not cx.degrees:
+        raise MalformedComplex("complex carries no degrees")
+    if any(g not in cx.degrees for g in cx.generators):
+        raise UnknownGenerator("a generator has no degree")
+    index = {g: i for i, g in enumerate(cx.generators)}
+    cols_by_degree: dict[int, list[int]] = {}
+    for g in cx.generators:
+        d = cx.degrees[g]
+        if d < 0:
+            raise MalformedComplex("negative degree")
+        col = functools.reduce(lambda v, h: v ^ 1 << index[h],
+                               cx.boundary(g), 0)
+        if any(cx.degrees[cx.generators[i]] != d - 1 for i in f2.bits(col)):
+            raise MalformedComplex("differential does not drop degree")
+        cols_by_degree.setdefault(d, []).append(col)
+    rank = {d: f2.rank(cols) for d, cols in cols_by_degree.items()}
+    return tuple(len(cols_by_degree.get(d, ())) - rank.get(d, 0)
+                 - rank.get(d + 1, 0)
+                 for d in range(max(cols_by_degree) + 1))
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from fukaya_flow import errors
 from fukaya_flow.errors import DuplicateGeneratorName
 from fukaya_flow.flow import (DirectedCategoryPresentation,
                               build_flow_category, rp2_category)
@@ -100,6 +101,23 @@ def test_constructor_canonicalises_and_checks_keys():
     fields["hom_mid_bottom"] = fields["hom_mid_bottom"][:1]
     with pytest.raises(ValueError, match="out of step"):
         DirectedCategoryPresentation(table={}, **fields)
+
+
+def test_malformed_category_is_a_package_error():
+    fields = dict(
+        top="t", middles=("m1",), bottom="b", hom_top_mid=(("u1",),),
+        hom_mid_bottom=(("v1",),), hom_top_bottom=F2Presentation(("c1",)),
+        table={})
+    for changes, message in (
+            (dict(hom_mid_bottom=()), "out of step"),
+            (dict(middles=("t",)), "distinct"),
+            (dict(table={(1, "u1", "v1"): ()}), "no middle object"),
+            (dict(table={(0, "v1", "v1"): ()}), "'v1' is not a morphism"),
+            (dict(table={(0, "u1", "v1"): ("zz",)}), "'zz'")):
+        with pytest.raises(errors.FukayaFlowError, match=message) as info:
+            DirectedCategoryPresentation(**dict(fields, **changes))
+        assert isinstance(info.value, errors.MalformedCategory)
+        assert isinstance(info.value, ValueError)
 
 
 def test_middle_layer_names_each_generator_once():

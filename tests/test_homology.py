@@ -7,7 +7,8 @@ import pytest
 
 from fukaya_flow import errors
 from fukaya_flow.homology import F2Presentation, complement_homology
-from fukaya_flow.links import fixture, fixture_names, linking_matrix
+from fukaya_flow.links import (LinkingMatrix, fixture, fixture_names,
+                               linking_matrix)
 from helpers import reduced
 
 
@@ -134,3 +135,10 @@ def test_json_schema_fields():
     blob = hom[1].to_json()
     assert set(blob) == {"generators", "relations", "basis", "betti"}
     assert blob["betti"] == 2
+
+
+def test_empty_linking_matrix_is_a_malformed_link():
+    with pytest.raises(errors.FukayaFlowError,
+                       match="at least one component") as info:
+        complement_homology(LinkingMatrix(()))
+    assert isinstance(info.value, errors.MalformedLink)

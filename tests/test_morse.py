@@ -23,7 +23,7 @@ from fukaya_flow.morse import (AffineMap, CascadeComplex, CascadeData,
                                intersect_cell_groups, projection_map,
                                square_torus, standard_lower_pair,
                                standard_upper_pair, two_point_profile)
-from helpers import reference_homology_basis
+from helpers import reference_betti_by_degree, reference_homology_basis
 from test_links import braid_closure_pd, over_count
 
 CATALOG = ("unknot", "2-unlink", "3-unlink", "hopf", "trefoil", "3-chain",
@@ -74,6 +74,10 @@ def test_unknown_generators_in_complex_named():
         CascadeComplex(("g",), {"g": ("h",)})
     with pytest.raises(errors.UnknownGenerator, match="given on h, not a"):
         CascadeComplex(("g",), {"h": ("g",)})
+    # a degree on a name that is no generator
+    with pytest.raises(errors.UnknownGenerator,
+                       match="degree given on zz, not a generator"):
+        CascadeComplex(("a",), {}, {"a": 0, "zz": 3})
     cx = CascadeComplex(("g", "h"), {"g": ("h",)}, {"g": 1})
     with pytest.raises(errors.UnknownGenerator, match="h has no degree"):
         cx.betti_by_degree()
@@ -87,8 +91,10 @@ def test_unknown_generators_in_complex_named():
     # d a lands in degree 0, and no generator has degree 1
     lambda: CascadeComplex(("a", "b"), {"a": ("b",)},
                            {"a": 2, "b": 0}).betti_by_degree(),
+    lambda: CascadeComplex(("a",), {}, {"a": -1}).betti_by_degree(),
     lambda: AffineMap(((1, 0),), (F(0), F(0))),
-], ids=("no-degrees", "degree-kept", "empty-degree", "offset-count"))
+], ids=("no-degrees", "degree-kept", "empty-degree", "negative-degree",
+        "offset-count"))
 def test_malformed_complex_is_a_package_error(build):
     with pytest.raises(errors.FukayaFlowError) as info:
         build()
@@ -749,7 +755,8 @@ def test_homology_basis_matches_the_reference():
     """The stop at dim H changes no basis: equal tuples with the full
     reference on both case-I complexes, the random case-I complexes,
     every framed catalog handle complex and 100 seeded braid closures
-    of 100-400 crossings."""
+    of 100-400 crossings.  On the handle complexes the basis counted by
+    degree also equals the Betti numbers of one rank per degree."""
     cases = [differential_case_I(*standard_upper_pair()),
              differential_case_I(*standard_lower_pair()),
              *_random_case_one_complexes()]
@@ -769,6 +776,92 @@ def test_homology_basis_matches_the_reference():
             d, tuple(rng.randint(-2, 3) for _ in range(d.component_count)))))
     for cx in cases:
         assert cx.homology_basis() == reference_homology_basis(cx)
+    for cx in cases[27:]:
+        assert cx.betti_by_degree() == reference_betti_by_degree(cx)
+
+
+def _outcome(query, cx):
+    """A query's value, or the class of the package error it raises."""
+    try:
+        return query(cx)
+    except errors.FukayaFlowError as exc:
+        return type(exc)
+
+
+def _random_graded_complex(rng):
+    """Degrees 0-4 with 0-6 generators each, d_d's columns drawn from
+    ker d_(d-1), generator order shuffled."""
+    sizes = [rng.choice((0, rng.randint(1, 6))) for _ in range(5)]
+    names = [["g%d_%d" % (d, i) for i in range(n)]
+             for d, n in enumerate(sizes)]
+    # cols[d][i]: d of the i-th generator of degree d, over degree d - 1
+    cols = [[0] * sizes[0]]
+    for d in range(1, 5):
+        # the cycles of degree d - 1, found by trying every subset
+        cycles = [m for m in range(1 << sizes[d - 1])
+                  if not functools.reduce(operator.xor, (
+                      cols[d - 1][i] for i in f2.bits(m)), 0)]
+        cols.append([rng.choice(cycles) for _ in range(sizes[d])])
+    diff = {names[d][i]: tuple(names[d - 1][j] for j in f2.bits(col))
+            for d in range(1, 5) for i, col in enumerate(cols[d])}
+    generators = [g for layer in names for g in layer]
+    rng.shuffle(generators)
+    degrees = {g: d for d, layer in enumerate(names) for g in layer}
+    return CascadeComplex(tuple(generators), diff, degrees)
+
+
+def test_betti_numbers_match_the_reference_on_random_complexes():
+    """On 600 seeded graded complexes, and on each with one degree
+    dropped, moved by one or made negative, or with no degrees at all,
+    betti_by_degree gives the reference's value or raises its error
+    class, and the homology basis has sum(betti) elements."""
+    rng = random.Random(37)
+    seen = {errors.MalformedComplex: 0, errors.UnknownGenerator: 0}
+    mixed = 0  # complexes with classes that are no single generator
+    for _ in range(600):
+        cx = _random_graded_complex(rng)
+        betti = _outcome(CascadeComplex.betti_by_degree, cx)
+        assert betti == _outcome(reference_betti_by_degree, cx)
+        assert cx.homology_basis() == reference_homology_basis(cx)
+        if cx.generators:
+            assert len(cx.homology_basis()) == sum(betti)
+            mixed += any("+" in rep for rep in cx.homology_basis())
+        g = rng.choice(cx.generators or ("",))
+        degrees = dict(cx.degrees)
+        variants = [{}]
+        if g:
+            shifted = dict(degrees, **{g: degrees[g] + rng.choice((-1, 1))})
+            dropped = {h: d for h, d in degrees.items() if h != g}
+            variants += [shifted, dropped, dict(degrees, **{g: -1})]
+        for degs in variants:
+            bad = CascadeComplex(cx.generators, cx.differential, degs)
+            got = _outcome(CascadeComplex.betti_by_degree, bad)
+            assert got == _outcome(reference_betti_by_degree, bad)
+            if got in seen:
+                seen[got] += 1
+    assert min(seen.values()) >= 100 and mixed >= 50, (seen, mixed)
+
+
+def test_one_elimination_answers_both_homology_calls(monkeypatch):
+    """On the handle complex of T(2, 301) the first homology call runs
+    the one elimination and the second adds no row to any Reducer,
+    whichever comes first."""
+    fl = FramedLink(parse_pd(braid_closure_pd(2, [1] * 301)), (0,))
+    added = []
+    add = f2.Reducer.add
+    monkeypatch.setattr(f2.Reducer, "add",
+                        lambda self, v: added.append(v) or add(self, v))
+    cx = handle_complex_from_link(fl)
+    betti = cx.betti_by_degree()
+    first = len(added)
+    basis = cx.homology_basis()
+    assert first > 0 and len(added) == first
+    assert len(basis) == sum(betti)
+    assert betti == complement_homology(linking_matrix(fl)).betti
+    cx = handle_complex_from_link(fl)
+    assert cx.homology_basis() == basis
+    first = len(added)
+    assert cx.betti_by_degree() == betti and len(added) == first
 
 
 def test_handle_complex_extra_diagrams():
