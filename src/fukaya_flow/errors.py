@@ -37,9 +37,9 @@ class NonPlanarPD(FukayaFlowError):
 
 
 class MalformedLink(FukayaFlowError, ValueError):
-    """A framed link with no component or with a framing count other
-    than its component count, or a linking matrix that is not square
-    and symmetric."""
+    """A framed link with no component, a framing count other than its
+    component count or a non-int framing; a linking matrix not square,
+    symmetric and of ints; a component index out of range."""
 
 
 class UnknownFixture(FukayaFlowError, KeyError):
@@ -84,9 +84,9 @@ class DifferentialNotSquareZero(FukayaFlowError):
 
 
 class MalformedComplex(FukayaFlowError, ValueError):
-    """A cascade complex asked for Betti numbers carries no degrees or a
-    negative one, or its differential does not drop degree by one; or
-    an evaluation map has other than one offset per row."""
+    """Cascade complex columns that are not one bitmask over the
+    generators each; no degree, a negative one or a d not dropping it by
+    one in a Betti query; an evaluation map not one offset per row."""
 
 
 class UnsupportedModel(FukayaFlowError):
@@ -107,8 +107,8 @@ class UnknownComponent(FukayaFlowError):
 
 
 class UnknownGenerator(FukayaFlowError):
-    """A differential, degree or cascade query names no generator of the
-    complex or components, or a complex's generator has no degree."""
+    """A tag, boundary, relation or cascade query names no generator of
+    the complex, presentation or components; a generator has no degree."""
 
 
 class NegativeCascadeCount(FukayaFlowError):

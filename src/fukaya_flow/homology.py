@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import f2
-from .errors import DuplicateGeneratorName, MalformedLink
+from .errors import DuplicateGeneratorName, MalformedLink, UnknownGenerator
 from .links import LinkingMatrix
 
 
@@ -40,8 +40,7 @@ class F2Presentation:
                 "duplicate generator name in %r" % (gens,))
         self.generators = gens
         self._index = {g: i for i, g in enumerate(gens)}
-        self.relations = tuple([r if isinstance(r, int) else self.vector(r)
-                                for r in relations])
+        self.relations = tuple(map(self._relation, relations))
         self._span = f2.Reducer(self.relations)
 
     # --- vector helpers -------------------------------------------------
@@ -52,6 +51,19 @@ class F2Presentation:
         for name in names:
             v ^= 1 << self._index[name]
         return v
+
+    def _relation(self, r: Sequence[str] | int) -> int:
+        """A relation as a bitmask, if its names and bits are generators'."""
+        if isinstance(r, int):
+            past = r >> len(self.generators) << len(self.generators)
+            low = (past & -past).bit_length() - 1
+            unknown = ["bit %d" % low] if past else []
+        else:
+            unknown = [g for g in r if g not in self._index]
+        if unknown:
+            raise UnknownGenerator("relation %r names %s, not a generator"
+                                   % (r, unknown[0]))
+        return r if isinstance(r, int) else self.vector(r)
 
     def names(self, v: int) -> tuple[str, ...]:
         return tuple(self.generators[i] for i in f2.bits(v))

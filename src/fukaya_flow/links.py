@@ -123,6 +123,9 @@ class FramedLink:
             raise MalformedLink(
                 "got %d framings for %d components"
                 % (len(self.framings), k))
+        for f in self.framings:
+            if not isinstance(f, int):
+                raise MalformedLink("framing %r is not an integer" % (f,))
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,9 @@ class LinkingMatrix:
             raise MalformedLink("linking matrix must be square")
         if list(map(tuple, self.entries)) != list(zip(*self.entries)):
             raise MalformedLink("linking matrix must be symmetric")
+        for x in (x for row in self.entries for x in row):
+            if not isinstance(x, int):
+                raise MalformedLink("matrix entry %r is not an integer" % (x,))
 
     @property
     def size(self) -> int:
@@ -319,6 +325,8 @@ def parse_pd(text: str) -> LinkDiagram:
 
 def self_writhe(diagram: LinkDiagram, j: int) -> int:
     """Signed count of self-crossings of component j."""
+    if j not in range(diagram.component_count):
+        raise MalformedLink("no component %r in the diagram" % (j,))
     return sum(sign for (cu, co), sign
                in zip(diagram._crossing_table, diagram.signs)
                if cu == j and co == j)

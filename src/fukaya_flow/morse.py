@@ -21,17 +21,10 @@ differential adds, to the internal Morse differential of each
 component, cross terms counting zero-dimensional transverse
 intersections of ev_-^{-1}(U(x)) with ev_+^{-1}(S(y)) mod 2.
 
-handle_complex_from_link builds the Z/2 cellular complex of a framed
-link complement from the abelianised Wirtinger presentation of its
-diagram: one torus of classes per component, a 1-cell per over-arc, a
-2-cell per over-arc end, a meridian and a longitude 2-cell per
-component, and 3-cells capping the tori.  It reads a planar diagram;
-links.parse_pd, where every PD code enters, rejects any other.  Its
-homology is right at class level: z1^j is the framed longitude, f_j
-z1'^j plus the meridians z1'^i of the components it links oddly, and
-the z2^j sum to zero.
-tests/test_morse.py::test_handle_complex_matches_oracle checks these
-classes on the framed catalog and on generated braid closures.
+A CascadeComplex is its columns: column i is d of generator i, a bitmask
+over generator indices, checked once, by its constructor; boundary() and
+to_json() derive sorted names.  differential_case_I and, for a framed
+link complement, handle_complex_from_link write the columns directly.
 """
 
 from __future__ import annotations
@@ -525,39 +518,37 @@ def _pull_back(m: int, *pulled: tuple[AffineMap, tuple]
 
 @dataclass(frozen=True)
 class CascadeComplex:
-    """Finite Z/2 chain complex with generators tagged by degree and
-    component; one elimination, run once, answers both homology calls."""
+    """Finite Z/2 chain complex stored as its columns, columns[i] = d
+    generators[i] as a bitmask over generator indices, with generators
+    tagged by degree and component.  The constructor is the one check.
+    One elimination, run once, answers both homology calls."""
 
     generators: tuple[str, ...]
-    differential: Mapping[str, tuple[str, ...]]
+    columns: tuple[int, ...]
     degrees: Mapping[str, int] = field(default_factory=dict)
     components: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        index = {g: i for i, g in enumerate(self.generators)}
-        if len(index) != len(self.generators):
-            # index keeps a name's last position
-            repeated = next(g for g, i in index.items()
-                            if self.generators.index(g) != i)
+        gens, cols, n = self.generators, self.columns, len(self.generators)
+        index = {g: i for i, g in enumerate(gens)}
+        if len(index) != n:
+            repeated = next(g for g in gens if gens.count(g) > 1)
             raise DuplicateGeneratorName(
                 "generator %s occurs more than once" % repeated)
-        for what, given in (("differential", self.differential),
-                            ("degree", self.degrees)):
+        for what, given in (("degree", self.degrees),
+                            ("component", self.components)):
             unknown = sorted(given.keys() - index.keys())
             if unknown:
                 raise UnknownGenerator(
                     "%s given on %s, not a generator" % (what, unknown[0]))
-        cols = []
-        for g in self.generators:
-            v = 0
-            for h in self.differential.get(g, ()):
-                i = index.get(h)
-                if i is None:
-                    raise UnknownGenerator(
-                        "d %s names %s, not a generator" % (g, h))
-                v ^= 1 << i
-            cols.append(v)
-        for g, col in zip(self.generators, cols):
+        if len(cols) != n:
+            raise MalformedComplex("%d columns for %d generators"
+                                   % (len(cols), n))
+        for g, col in zip(gens, cols):
+            if not isinstance(col, int) or col < 0 or col >> n:
+                raise MalformedComplex("column of %s is %r, not a bitmask "
+                                       "over %d generators" % (g, col, n))
+        for g, col in zip(gens, cols):
             acc = 0
             while col:
                 top = col.bit_length() - 1
@@ -565,12 +556,15 @@ class CascadeComplex:
                 col ^= 1 << top
             if acc:
                 raise DifferentialNotSquareZero(
-                    "d(d %s) = %r" % (g, [self.generators[i]
-                                          for i in f2.bits(acc)]))
-        object.__setattr__(self, "_cols", tuple(cols))
+                    "d(d %s) = %r" % (g, [gens[i] for i in f2.bits(acc)]))
+        object.__setattr__(self, "_index", index)
 
     def boundary(self, name: str) -> tuple[str, ...]:
-        return tuple(self.differential.get(name, ()))
+        """d name, its generators sorted by name."""
+        if name not in self._index:
+            raise UnknownGenerator("%s is not a generator" % name)
+        return tuple(sorted(self.generators[i] for i
+                            in f2.bits(self.columns[self._index[name]])))
 
     @cached_property
     def _homology(self) -> tuple[int, ...]:
@@ -579,7 +573,7 @@ class CascadeComplex:
         the single-generator cycles, then that basis, are kept when new
         modulo the span.  After dim Z - dim B of them the span is Z, so
         stopping there keeps the basis a full pass would give."""
-        cols = self._cols
+        cols = self.columns
         classes = f2.Reducer()
         kernel = [combo for residual, combo in map(classes.add, cols)
                   if not residual]
@@ -617,8 +611,7 @@ class CascadeComplex:
         below = [0] * (max(degree) + 2)  # below[d]: generators of degree d-1
         for i, d in enumerate(degree):
             below[d + 1] |= 1 << i
-        outside = [~mask for mask in below]
-        if any(col & outside[d] for col, d in zip(self._cols, degree)):
+        if any(col & ~below[d] for col, d in zip(self.columns, degree)):
             raise MalformedComplex("differential does not drop degree by one")
         betti = [0] * (max(degree) + 1)
         for rep in self._homology:
@@ -631,9 +624,8 @@ class CascadeComplex:
                 {"name": g, "degree": self.degrees.get(g),
                  "component": self.components.get(g)}
                 for g in self.generators],
-            "differential": [
-                [g, sorted(self.differential[g])]
-                for g in self.generators if self.differential.get(g)],
+            "differential": [[g, list(self.boundary(g))] for g, col
+                             in zip(self.generators, self.columns) if col],
         }
 
 
@@ -642,6 +634,10 @@ def differential_case_I(source: CriticalComponent,
                         corr: Optional[Correspondence]) -> CascadeComplex:
     """Cascade differential for two components joined by one
     correspondence (or none, leaving the block Morse differential)."""
+    gens = source.generator_names() + target.generator_names()
+    index = {g: i for i, g in enumerate(gens)}
+    cols = [sum(1 << index[h] for h in c.model.boundary(g))
+            for c in (source, target) for g in c.generator_names()]
     if corr is not None:
         if (corr.source, corr.target) != (source.name, target.name):
             raise UnknownComponent(
@@ -649,32 +645,21 @@ def differential_case_I(source: CriticalComponent,
                 % (corr.source, corr.target, source.name, target.name))
         _check_correspondence(corr, {source.name: source,
                                      target.name: target})
-
-    gens: list[str] = []
-    degrees: dict[str, int] = {}
-    comp_of: dict[str, str] = {}
-    diff: dict[str, tuple[str, ...]] = {}
-    for comp in (source, target):
-        model = comp.model
-        for n, d in zip(model.generator_names(), model.degrees()):
-            gens.append(n)
-            degrees[n] = d
-            comp_of[n] = comp.name
-            diff[n] = model.boundary(n)
-
-    if corr is not None:
-        stable = {y: _constraints(corr.ev_plus, target.model.cells(y, True))
+        stable = {index[y]: _constraints(corr.ev_plus,
+                                         target.model.cells(y, True))
                   for y in target.model.generator_names()}
         for x in source.model.generator_names():
             unstable = _constraints(corr.ev_minus,
                                     source.model.cells(x, False))
-            extra = [y for y, group in stable.items()
-                     if intersect_cell_groups(corr.dim,
-                                              [unstable, group]).count_mod2]
-            if extra:
-                diff[x] = tuple(sorted(set(diff[x]) ^ set(extra)))
+            for i, group in stable.items():
+                if intersect_cell_groups(corr.dim,
+                                         [unstable, group]).count_mod2:
+                    cols[index[x]] ^= 1 << i
 
-    return CascadeComplex(tuple(gens), diff, degrees, comp_of)
+    return CascadeComplex(
+        gens, tuple(cols),
+        dict(zip(gens, source.model.degrees() + target.model.degrees())),
+        {g: c.name for c in (source, target) for g in c.generator_names()})
 
 
 # --------------------------------------------------------------------------
@@ -878,39 +863,34 @@ def handle_complex_from_link(fl: FramedLink) -> CascadeComplex:
         # a component that never passes under is one over-arc
         firsts.append(max(n, firsts[-1] + 1))
     runs = [range(f, e) for f, e in zip(firsts, firsts[1:])]
-    arc = ["A^%d" % n for n in range(firsts[-1])]  # arc[n] names A^n
-
-    # longitude j: the over-arcs that j passes under, and the parity of
-    # f_j + w_j; each sign is +-1, so w_j = (self-crossings of j) mod 2
-    overs: list[set[int]] = [set() for _ in range(k)]
-    twist = list(fl.framings)
+    arcs = firsts[-1] - 1
+    # the generator layout: z0^j, z1^j, z1'^j, z2^j at 4j-4 .. 4j-1, then
+    # Q^1 .. Q^(k-1), A^n at a + n, J^n at a + arcs + n, the pairs
+    # (M^j, L^j), D^1 .. D^k and p''
+    a = 5 * k - 2
+    # L^j: z1^j, the over-arcs that j passes under and (f_j + w_j) z1'^j;
+    # each sign is +-1, so w_j = (self-crossings of j) mod 2
+    lon = [1 << 4 * j + 1 | f % 2 << 4 * j + 2
+           for j, f in enumerate(fl.framings)]
     for (cu, co), (_, b, _, _) in zip(diagram._crossing_table,
                                       diagram.crossings):
-        overs[cu] ^= {over_arc[b]}
-        twist[cu] += cu == co
-
-    # (name, degree, component, boundary), each boundary sorted
-    cells = [("%s^%d" % (name, j), degree, "torus_%d" % j, ())
-             for j in range(1, k + 1)
-             for name, degree in (("z0", 0), ("z1", 1), ("z1'", 1),
-                                  ("z2", 2))]
-    cells += [("Q^%d" % j, 1, "handle",
-               tuple(sorted(("z0^%d" % j, "z0^%d" % (j + 1)))))
-              for j in range(1, k)]
-    cells += [(a, 1, "handle", ()) for a in arc[1:]]
-    cells += [("J^%d" % n, 2, "handle", tuple(sorted({arc[n]} ^ {arc[m]})))
-              for run in runs for n, m in zip(run, [*run[1:], run[0]])]
-    cells += [cell for j, run in enumerate(runs, 1) for cell in (
-        ("M^%d" % j, 2, "handle", (arc[run[0]], "z1'^%d" % j)),
-        ("L^%d" % j, 2, "handle", tuple(sorted(
-            [arc[n] for n in overs[j - 1]] + ["z1^%d" % j]
-            + ["z1'^%d" % j] * (twist[j - 1] % 2)))))]
-    cells += [("D^%d" % j, 3, "handle",
-               tuple(sorted(["z2^%d" % j] + ["J^%d" % n for n in run])))
-              for j, run in enumerate(runs, 1)]
-    cells.append(("p''", 3, "handle",
-                  tuple(sorted("z2^%d" % j for j in range(1, k + 1)))))
-    names, degrees, components, boundaries = zip(*cells)
-    return CascadeComplex(names, dict(zip(names, boundaries)),
-                          dict(zip(names, degrees)),
-                          dict(zip(names, components)))
+        lon[cu] ^= 1 << a + over_arc[b] | (cu == co) << 4 * cu + 2
+    cols = [0] * (4 * k) + [1 << 4 * j | 1 << 4 * j + 4 for j in range(k - 1)]
+    cols += [0] * arcs + [1 << a + n ^ 1 << a + nxt for run in runs
+                          for n, nxt in zip(run, [*run[1:], run[0]])]
+    cols += [c for j, run in enumerate(runs)
+             for c in (1 << a + run[0] | 1 << 4 * j + 2, lon[j])]
+    cols += [1 << 4 * j + 3 | (1 << len(run)) - 1 << a + arcs + run[0]
+             for j, run in enumerate(runs)]
+    cols.append(sum(1 << 4 * j + 3 for j in range(k)))
+    names = ["%s^%d" % (z, j) for j in range(1, k + 1)
+             for z in ("z0", "z1", "z1'", "z2")]
+    names += ["Q^%d" % j for j in range(1, k)]
+    names += ["%s^%d" % (c, n) for c in "AJ" for n in range(1, arcs + 1)]
+    names += ["%s^%d" % (c, j) for j in range(1, k + 1) for c in "ML"]
+    names += ["D^%d" % j for j in range(1, k + 1)] + ["p''"]
+    degrees = [0, 1, 1, 2] * k + [1] * (k - 1 + arcs) + [2] * (arcs + 2 * k)
+    components = ["torus_%d" % j for j in range(1, k + 1) for _ in range(4)]
+    return CascadeComplex(
+        tuple(names), tuple(cols), dict(zip(names, degrees + [3] * (k + 1))),
+        dict(zip(names, components + ["handle"] * (len(names) - 4 * k))))

@@ -3,7 +3,9 @@ component of a diagram, a presentation's reduced form, a
 representation's JSON form, the relation families among the composite
 classes of a link-built flow category, the name-based references for
 the categories' bitmask tables (composition, regular representation
-and the Theorem-B comparison, read from generator names), the
+and the Theorem-B comparison, read from generator names), a cascade
+complex built from a differential written in generator names, the
+name-based handle complex the column builder is checked against, the
 homology-basis reference without its stop at dim H, the Betti-number
 reference with one rank per degree, and the
 independent quiver oracles (the GL(d_v, F2) orbit enumeration and the
@@ -22,7 +24,7 @@ from fukaya_flow.errors import (DimensionTooLarge, MalformedComplex,
 from fukaya_flow.flow import DirectedCategoryPresentation, \
     flow_generator_names
 from fukaya_flow.homology import F2Presentation
-from fukaya_flow.links import LinkDiagram, LinkingMatrix
+from fukaya_flow.links import FramedLink, LinkDiagram, LinkingMatrix
 from fukaya_flow.morse import CascadeComplex
 from fukaya_flow.quiver import QuiverPresentation, QuiverRepresentation
 
@@ -224,6 +226,73 @@ def reference_compare(fukaya: DirectedCategoryPresentation,
                     mismatches.append("table entry (%s, %s): %r -> %r != %r"
                                       % (u, v, left, translated, right))
     return not mismatches, tuple(mismatches)
+
+
+def complex_from_names(generators, differential, degrees=None,
+                       components=None) -> CascadeComplex:
+    """The CascadeComplex whose d is given as generator names,
+    differential[g] the generators in d g (a name given twice cancels),
+    packed here into the constructor's columns.  A name in d that is no
+    generator raises KeyError."""
+    index = {g: i for i, g in enumerate(generators)}
+    columns = tuple(functools.reduce(lambda v, h: v ^ 1 << index[h],
+                                     differential.get(g, ()), 0)
+                    for g in generators)
+    return CascadeComplex(tuple(generators), columns, degrees or {},
+                          components or {})
+
+
+def reference_handle_complex(fl: FramedLink) -> CascadeComplex:
+    """The oracle for morse.handle_complex_from_link: the same cells,
+    each boundary written as sorted generator names from name lists
+    and sets, then packed by complex_from_names."""
+    diagram = fl.diagram
+    k = diagram.component_count
+    # over-arcs numbered 1, 2, ... in circuit order, a new one after
+    # each arc that ends an under-passage (position 0 of a crossing)
+    under_ends = {quad[0] for quad in diagram.crossings}
+    over_arc: dict[int, int] = {}
+    firsts = [1]
+    for comp in diagram.components:
+        cut = next((i for i, a in enumerate(comp) if a in under_ends), -1)
+        n = firsts[-1]
+        for a in comp[cut + 1:] + comp[:cut + 1]:
+            over_arc[a] = n
+            n += a in under_ends
+        firsts.append(max(n, firsts[-1] + 1))
+    runs = [range(f, e) for f, e in zip(firsts, firsts[1:])]
+    arc = ["A^%d" % n for n in range(firsts[-1])]  # arc[n] names A^n
+    overs: list[set[int]] = [set() for _ in range(k)]
+    twist = list(fl.framings)
+    for (cu, co), (_, b, _, _) in zip(diagram._crossing_table,
+                                      diagram.crossings):
+        overs[cu] ^= {over_arc[b]}
+        twist[cu] += cu == co
+    # (name, degree, component, boundary), each boundary sorted
+    cells = [("%s^%d" % (name, j), degree, "torus_%d" % j, ())
+             for j in range(1, k + 1)
+             for name, degree in (("z0", 0), ("z1", 1), ("z1'", 1),
+                                  ("z2", 2))]
+    cells += [("Q^%d" % j, 1, "handle",
+               tuple(sorted(("z0^%d" % j, "z0^%d" % (j + 1)))))
+              for j in range(1, k)]
+    cells += [(a, 1, "handle", ()) for a in arc[1:]]
+    cells += [("J^%d" % n, 2, "handle", tuple(sorted({arc[n]} ^ {arc[m]})))
+              for run in runs for n, m in zip(run, [*run[1:], run[0]])]
+    cells += [cell for j, run in enumerate(runs, 1) for cell in (
+        ("M^%d" % j, 2, "handle", (arc[run[0]], "z1'^%d" % j)),
+        ("L^%d" % j, 2, "handle", tuple(sorted(
+            [arc[n] for n in overs[j - 1]] + ["z1^%d" % j]
+            + ["z1'^%d" % j] * (twist[j - 1] % 2)))))]
+    cells += [("D^%d" % j, 3, "handle",
+               tuple(sorted(["z2^%d" % j] + ["J^%d" % n for n in run])))
+              for j, run in enumerate(runs, 1)]
+    cells.append(("p''", 3, "handle",
+                  tuple(sorted("z2^%d" % j for j in range(1, k + 1)))))
+    names, degrees, components, boundaries = zip(*cells)
+    return complex_from_names(names, dict(zip(names, boundaries)),
+                              dict(zip(names, degrees)),
+                              dict(zip(names, components)))
 
 
 def reference_homology_basis(cx: CascadeComplex) -> tuple[str, ...]:

@@ -384,19 +384,24 @@ _CATEGORY_PINS = (
      "2ab5da7a8518ac400482695a97e52970b90b18dcea9c0009e59a87f59ee07432"),
     (("complement-homology", "morse-bott"), "json", 378,
      "7b66396384dfb3ff5e77b8bec3be0cca86e7dcb49a8f7ec0e50e8a489e338d4e"),
+    (("morse-bott", "cascade-diagnostics"), "text", 406,
+     "0e14e55dc4db2ac9c34bf2530e40e8bb599959ef8a6bd4bb3d7c63b5f0d56273"),
 )
 
 
 def test_category_json_stdout_is_pinned():
     """The JSON stdout of flow-category, fukaya-category and
-    verify-theorem-b, the dot stdout of the first two, and the JSON
-    stdout of complement-homology and morse-bott (handles on every
-    framed catalog link, case-I on both pairs), hashed call by call as
-    tools/cli_digest.py hashes its sweep, equal the digests taken
-    before the category tables were stored as bitmasks (JSON), before
-    the free middle hom spaces were stored as name tuples (dot), and
-    before the presentations kept one reduction and the Betti numbers
-    were read off the homology basis (complement-homology, morse-bott)."""
+    verify-theorem-b, the dot stdout of the first two, the JSON stdout
+    of complement-homology and morse-bott (handles on every framed
+    catalog link, case-I on both pairs), and the text stdout of
+    morse-bott and cascade-diagnostics (the case-I lines that print
+    boundary()), hashed call by call as tools/cli_digest.py hashes its
+    sweep, equal the digests taken before the category tables were
+    stored as bitmasks (JSON), before the free middle hom spaces were
+    stored as name tuples (dot), before the presentations kept one
+    reduction and the Betti numbers were read off the homology basis
+    (complement-homology, morse-bott JSON), and before a cascade
+    complex was stored as its columns only (text)."""
     import importlib.util
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "tools", "cli_digest.py")

@@ -142,3 +142,23 @@ def test_empty_linking_matrix_is_a_malformed_link():
                        match="at least one component") as info:
         complement_homology(LinkingMatrix(()))
     assert isinstance(info.value, errors.MalformedLink)
+
+
+@pytest.mark.parametrize("relations,message", [
+    ([0b10], "relation 2 names bit 1, not a generator"),
+    ([0b1001], "relation 9 names bit 3, not a generator"),
+    ([-1], "relation -1 names bit 1, not a generator"),
+    ([0b1, -4], "relation -4 names bit 2, not a generator"),
+    ([("a", "zz")], r"relation \('a', 'zz'\) names zz, not a generator"),
+], ids=("bit-past-end", "high-bit", "minus-one", "negative", "name"))
+def test_relation_outside_the_generators_is_refused(relations, message):
+    """A relation whose bit or name is no generator's is refused when
+    the presentation is built, not accepted with a dimension that
+    disagrees with its basis."""
+    with pytest.raises(errors.UnknownGenerator, match=message):
+        F2Presentation(("a",), relations)
+    # vector() still raises KeyError, which the category layer reads
+    with pytest.raises(KeyError):
+        F2Presentation(("a",)).vector(["zz"])
+    p = F2Presentation(("a", "b"), [0b11, ("b",)])
+    assert (p.dim, p.basis) == (0, ())

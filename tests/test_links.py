@@ -471,3 +471,32 @@ def test_linking_matrix_must_be_square_and_symmetric():
         assert isinstance(info.value, errors.FukayaFlowError)
     # rows given as lists are compared by their entries
     assert links.LinkingMatrix([[0, 3], [3, 0]]).framing(1) == 0
+
+
+_HOPF = "X(3,5,4,6),X(5,3,6,4)"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: links.FramedLink(parse_pd(_HOPF), (0.5, 0)),
+     "framing 0.5 is not an integer"),
+    (lambda: links.FramedLink(parse_pd(_HOPF), (0, "a")),
+     "framing 'a' is not an integer"),
+    (lambda: links.LinkingMatrix(((0.5,),)),
+     "matrix entry 0.5 is not an integer"),
+    (lambda: links.LinkingMatrix(((0, "1"), ("1", 0))),
+     "matrix entry '1' is not an integer"),
+    (lambda: links.self_writhe(parse_pd(_HOPF), 5),
+     "no component 5 in the diagram"),
+    (lambda: links.self_writhe(parse_pd(_HOPF), -1),
+     "no component -1 in the diagram"),
+    (lambda: links.self_writhe(parse_pd(_HOPF), 2),
+     "no component 2 in the diagram"),
+], ids=("float-framing", "str-framing", "float-entry", "str-entry",
+        "writhe-component-5", "writhe-component-minus-1",
+        "writhe-component-k"))
+def test_link_layer_refuses_malformed_values(build, message):
+    """Framings and matrix entries are ints and self_writhe reads a
+    component of the diagram; anything else is a MalformedLink naming
+    the value."""
+    with pytest.raises(errors.MalformedLink, match=message):
+        build()
