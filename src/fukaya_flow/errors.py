@@ -85,8 +85,9 @@ class DifferentialNotSquareZero(FukayaFlowError):
 
 class MalformedComplex(FukayaFlowError, ValueError):
     """Cascade complex columns that are not one bitmask over the
-    generators each; no degree, a negative one or a d not dropping it by
-    one in a Betti query; an evaluation map not one offset per row."""
+    generators each; no degree, one that is not an int >= 0 or a d not
+    dropping it by one in a Betti query; an evaluation map not one
+    offset per row."""
 
 
 class UnsupportedModel(FukayaFlowError):
@@ -126,14 +127,18 @@ class AngleOutOfRange(FukayaFlowError, OverflowError):
     one beyond the float range; the message names the breakpoint."""
 
 
+class UnknownConvention(FukayaFlowError, ValueError):
+    """A loop's orientation convention is neither dx^dy nor dy^dx."""
+
+
 class MismatchedPuncture(FukayaFlowError):
     """Glued punctures disagree (missing, reused, or different dimension)."""
 
 
 class InvalidIndexProblem(FukayaFlowError, ValueError):
-    """A triangle index problem has no integer solution: the gluing
-    equations need 2n - 1 + mu' even, and the vanishing-cycle triangle
-    an even base dimension of at least 2."""
+    """A triangle index problem has a non-int argument or no integer
+    solution: the gluing equations need 2n - 1 + mu' even, and the
+    vanishing-cycle triangle an even base dimension of at least 2."""
 
 
 # --- numeric geometry ---

@@ -31,18 +31,17 @@ lam >= 1 respectively.
 This module is strictly segregated from the exact category pipeline:
 no numeric value flows into any presentation.
 
-Batches.  mu_batch, mu_inv_batch, sigma_batch and quadratic_batch are
-the formulas above as array kernels over a trailing axis of length 4
-(2 for e and f): N points have shape (N, 4), one point shape (4,).  mu,
-mu_inv, sigma and quadratic are thin wrappers over them that take and
-return single checked points, so each map has one formula.  Every
-construction check runs on every point of a batch, on the inputs and
-the outputs of each map, and a DomainViolation names the index of the
-first offending point and its deviation.  The randomized checks draw
-their points, then make one pass of each map over them; the default
-geometry_report (100,800 grid points, 200 round-trip samples, 100
-curves) takes about 0.07 s on a 2-core x86_64, against 2.5 s for the
-same checks made one point at a time.
+Batches.  mu, mu_inv, sigma and quadratic are the formulas above as
+array kernels over a trailing axis of length 4 (2 for e and f): a
+point is an array of shape (4,), a batch of N points has shape (N, 4),
+and there are no point classes.  trivialization and rho take and return
+arrays.  Every construction check runs on every point, on the inputs
+and the outputs of each map; a DomainViolation gives the deviation,
+after the index of the first offending point for a batch.  The
+randomized checks draw their points, then make one pass of each map
+over them; the default geometry_report (100,800 grid points, 200
+round-trip samples, 100 curves) takes about 0.07 s on a 2-core x86_64,
+against 2.5 s for the same checks made one point at a time.
 
 Tolerances: 1e-12 for construction invariants, 1e-10 for round trips
 and the P-image grid, 1e-6 for finite-difference checks with step 1e-5.
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,9 +78,9 @@ def _require(deviation, what: str, size=None) -> None:
     """Raise DomainViolation at the first point whose deviation exceeds
     CONSTRUCTION_TOL times max(1, size()), the size of the terms its
     identity sums (1 without size; size runs only past the absolute
-    bound), naming the point's index in the batch and its absolute
-    deviation.  A NaN deviation passes, so a NaN input reaches the
-    error checks, which report it as FAIL."""
+    bound), naming its absolute deviation, after its index in a batch.
+    A NaN deviation passes, so a NaN input reaches the error checks,
+    which report it as FAIL."""
     bad = deviation > CONSTRUCTION_TOL
     if size is not None and bad.any():
         bad = deviation > CONSTRUCTION_TOL * np.maximum(1.0, size())
@@ -110,39 +108,11 @@ def _check_quadric(z: np.ndarray) -> None:
              lambda: np.sum(np.abs(z) ** 2, axis=-1))
 
 
-@dataclass(frozen=True)
-class CotangentPoint:
-    """(u, v) in R^4 x R^4 with |u| = 1 and u.v = 0, checked to 1e-12."""
-
-    u: tuple[float, float, float, float]
-    v: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        _check_cotangent(*self.arrays())
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.asarray(self.u, dtype=float),
-                np.asarray(self.v, dtype=float))
-
-
-@dataclass(frozen=True)
-class QuadricPoint:
-    """z in C^4 with sum z_j^2 = 1, checked to 1e-12."""
-
-    z: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self):
-        _check_quadric(self.array())
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.z, dtype=complex)
-
-
 def _f(s):
     return np.sqrt((1.0 + np.sqrt(1.0 + 4.0 * s * s)) / 2.0)
 
 
-def mu_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """mu on quadric points z of shape (4,) or (N, 4); returns (u, v)."""
     _check_quadric(z)
     x = z.real
@@ -153,7 +123,7 @@ def mu_batch(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def mu_inv_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def mu_inv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """mu_inv on cotangent points (u, v) of shape (4,) or (N, 4)."""
     _check_cotangent(u, v)
     fv = _f(_norm(v))[..., None]
@@ -162,10 +132,10 @@ def mu_inv_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return z
 
 
-def sigma_batch(e: np.ndarray, f: np.ndarray, theta, lam
-                ) -> tuple[np.ndarray, np.ndarray]:
+def sigma(e, f, theta, lam) -> tuple[np.ndarray, np.ndarray]:
     """Slice points for unit vectors e, f of shape (2,) or (N, 2) and
     angles theta and heights lam of shape () or (N,); returns (u, v)."""
+    e, f = np.asarray(e, dtype=float), np.asarray(f, dtype=float)
     for w, name in ((e, "e"), (f, "f")):
         if w.shape[-1:] != (2,):
             raise DomainViolation("%s must be a unit 2-vector" % name)
@@ -179,30 +149,10 @@ def sigma_batch(e: np.ndarray, f: np.ndarray, theta, lam
     return u, v
 
 
-def quadratic_batch(z: np.ndarray) -> np.ndarray:
-    """P(z) = z1^2 + z2^2 - z3^2 - z4^2 over the last axis of z."""
+def quadratic(z: np.ndarray):
+    """P(z) = z1^2 + z2^2 - z3^2 - z4^2 over the last axis of z: one
+    complex for a point, shape (N,) for a batch."""
     return z[..., 0] ** 2 + z[..., 1] ** 2 - z[..., 2] ** 2 - z[..., 3] ** 2
-
-
-def mu(point: QuadricPoint) -> CotangentPoint:
-    u, v = mu_batch(point.array())
-    return CotangentPoint(tuple(u), tuple(v))
-
-
-def mu_inv(point: CotangentPoint) -> QuadricPoint:
-    return QuadricPoint(tuple(mu_inv_batch(*point.arrays())))
-
-
-def sigma(e, f, theta: float, lam: float) -> CotangentPoint:
-    """Great-circle slice point; e and f are unit vectors in R^2."""
-    u, v = sigma_batch(np.asarray(e, dtype=float), np.asarray(f, dtype=float),
-                       theta, lam)
-    return CotangentPoint(tuple(u), tuple(v))
-
-
-def quadratic(z) -> complex:
-    """P(z) = z1^2 + z2^2 - z3^2 - z4^2."""
-    return complex(quadratic_batch(np.asarray(z, dtype=complex)))
 
 
 def p_image(theta: float, lam: float) -> complex:
@@ -216,11 +166,11 @@ def ellipse_axes(lam: float) -> tuple[float, float]:
     return math.sqrt(1.0 + 4.0 * lam * lam), 2.0 * lam
 
 
-def trivialization(point: QuadricPoint, region_check: bool = True,
+def trivialization(z: np.ndarray, region_check: bool = True,
                    allow_any_branch: bool = False
-                   ) -> tuple[complex, tuple[complex, complex],
-                              tuple[complex, complex]]:
-    """Fiberwise splitting (lam, alpha (z1, z2), beta (z3, z4)).
+                   ) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Fiberwise splitting (lam, alpha (z1, z2), beta (z3, z4)) of a
+    quadric point z of shape (4,).
 
     Both output pairs satisfy w1^2 + w2^2 = 1.  Raises
     BranchCutProximity within 1e-8 of the branch points +-1 or on the
@@ -228,8 +178,8 @@ def trivialization(point: QuadricPoint, region_check: bool = True,
     insists on Im(lam) >= -1e-8 (the trivialized region lies in the
     closed upper half-plane).
     """
-    z = point.array()
-    lam = quadratic(z)
+    _check_quadric(z)
+    lam = complex(quadratic(z))
     if abs(lam - 1.0) < BRANCH_TOL or abs(lam + 1.0) < BRANCH_TOL:
         raise BranchCutProximity("lam = %r is within 1e-8 of a branch point"
                                  % (lam,))
@@ -243,12 +193,10 @@ def trivialization(point: QuadricPoint, region_check: bool = True,
             "lam = %r is outside the upper half-plane region" % (lam,))
     alpha = cmath.sqrt(2.0 / (1.0 + lam))
     beta = cmath.sqrt(2.0 / (1.0 - lam))
-    first = (alpha * z[0], alpha * z[1])
-    second = (beta * z[2], beta * z[3])
-    return lam, first, second
+    return lam, alpha * z[:2], beta * z[2:]
 
 
-def rho(e, f, zeta: complex) -> QuadricPoint:
+def rho(e, f, zeta: complex) -> np.ndarray:
     """Cylinder parameterization of the slice quadric, normalized so the
     defining equation holds exactly:
 
@@ -261,8 +209,9 @@ def rho(e, f, zeta: complex) -> QuadricPoint:
     f = np.asarray(f, dtype=float)
     z1 = (zeta + 1.0 / zeta) / 2.0
     z2 = -1j * (zeta - 1.0 / zeta) / 2.0
-    return QuadricPoint((complex(z1 * e[0]), complex(z1 * e[1]),
-                         complex(z2 * f[0]), complex(z2 * f[1])))
+    z = np.concatenate((z1 * e, z2 * f))
+    _check_quadric(z)
+    return z
 
 
 # --------------------------------------------------------------------------
@@ -279,18 +228,14 @@ def _cotangent_draw(rng: np.random.Generator
     return u, v
 
 
-def _quadric_draw(rng: np.random.Generator, scale: float) -> np.ndarray:
+def _quadric_draw(rng: np.random.Generator) -> np.ndarray:
+    """A random quadric point: a complex Gaussian 4-vector, redrawn
+    while sum p_j^2 is within 1e-3 of 0, over a square root of it."""
     while True:
-        p = (rng.standard_normal(4) * scale
-             + 1j * rng.standard_normal(4) * scale)
+        p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         s = np.sum(p * p)
         if abs(s) > 1e-3:
             return p / np.sqrt(s)
-
-
-def random_quadric_point(rng: np.random.Generator,
-                         scale: float = 1.0) -> QuadricPoint:
-    return QuadricPoint(tuple(_quadric_draw(rng, scale)))
 
 
 def random_unit2(rng: np.random.Generator) -> np.ndarray:
@@ -324,10 +269,10 @@ def roundtrip_errors(rng: np.random.Generator, samples: int
     u = np.empty((samples, 4))
     v = np.empty((samples, 4))
     for i in range(samples):
-        z[i] = _quadric_draw(rng, 1.0)
+        z[i] = _quadric_draw(rng)
         u[i], v[i] = _cotangent_draw(rng)
-    worst_z = _worst(np.abs(mu_inv_batch(*mu_batch(z)) - z))
-    u1, v1 = mu_batch(mu_inv_batch(u, v))
+    worst_z = _worst(np.abs(mu_inv(*mu(z)) - z))
+    u1, v1 = mu(mu_inv(u, v))
     worst_p = _worst(np.maximum(np.abs(u1 - u), np.abs(v1 - v)))
     return worst_z, worst_p
 
@@ -359,20 +304,11 @@ def p_image_errors(rng: np.random.Generator, grid_thetas: int = 48,
         n = len(batch) * row
         expected = np.repeat([p_image(t, h) for t in batch for h in lams],
                              ef_samples)
-        z = mu_inv_batch(*sigma_batch(e[:n], f[:n], np.repeat(batch, row),
-                                      lam[:n]))
+        z = mu_inv(*sigma(e[:n], f[:n], np.repeat(batch, row), lam[:n]))
         worst = np.maximum(worst, _worst(
-            np.abs(quadratic_batch(z) - expected)
+            np.abs(quadratic(z) - expected)
             / np.maximum(1.0, np.abs(expected))))
     return float(worst)
-
-
-def sigma_invariance_spread(rng: np.random.Generator, theta: float,
-                            lam: float, samples: int = 100) -> float:
-    """Spread of P(mu_inv(sigma(e, f, theta, lam))) over random (e, f)."""
-    e, f = _unit_pairs(rng, samples)
-    values = quadratic_batch(mu_inv_batch(*sigma_batch(e, f, theta, lam)))
-    return float(np.max(np.abs(values - values[0])))
 
 
 def _tangent_line(rng: np.random.Generator
@@ -386,16 +322,15 @@ def _tangent_line(rng: np.random.Generator
     return p0, dp
 
 
-def _derivative(f, step: float) -> np.ndarray:
-    """Four-point central difference of f at 0; truncation error
-    O(step^4)."""
-    return (8.0 * (f(step) - f(-step)) - (f(2.0 * step) - f(-2.0 * step))
-            ) / (12.0 * step)
+def _derivative(f) -> np.ndarray:
+    """Four-point central difference of f at 0 with step h = FD_STEP;
+    truncation error O(h^4)."""
+    h = FD_STEP
+    return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
 
 
 def symplectic_pullback_error(rng: np.random.Generator,
-                              samples: int = 100,
-                              step: float = FD_STEP) -> float:
+                              samples: int = 100) -> float:
     """Finite-difference check that mu pulls sum(-v_j du_j) back to
     sum(y_j dx_j); returns the worst relative error.  The curves are
     drawn one sample at a time, then each stencil point is one batch."""
@@ -408,10 +343,10 @@ def symplectic_pullback_error(rng: np.random.Generator,
         return p / np.sqrt(np.sum(p * p, axis=-1))[..., None]
 
     z0 = curve(0.0)
-    _, v0 = mu_batch(z0)
-    du = _derivative(lambda t: mu_batch(curve(t))[0], step)
+    _, v0 = mu(z0)
+    du = _derivative(lambda t: mu(curve(t))[0])
     lhs = -np.sum(v0 * du, axis=-1)
-    dx = _derivative(lambda t: curve(t).real, step)
+    dx = _derivative(lambda t: curve(t).real)
     rhs = np.sum(z0.imag * dx, axis=-1)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return _worst(np.abs(lhs - rhs) / scale)
@@ -476,9 +411,8 @@ def figure_rows(curves: dict[str, list]) -> list[tuple]:
     return rows
 
 
-def figure_svg(curves: dict[str, list], width: int = 640,
-               height: int = 480) -> str:
-    """A fixed-viewBox SVG with one path per curve image."""
+def figure_svg(curves: dict[str, list]) -> str:
+    """A 640 x 480 viewBox SVG with one path per curve image."""
     all_pts = {name: [p_image(t, l) for t, l in pts]
                for name, pts in curves.items()}
     xs = [v.real for pts in all_pts.values() for v in pts]
@@ -489,8 +423,8 @@ def figure_svg(curves: dict[str, list], width: int = 640,
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
 
     def to_px(v: complex) -> tuple[float, float]:
-        px = (v.real - x0) / (x1 - x0) * width
-        py = height - (v.imag - y0) / (y1 - y0) * height
+        px = (v.real - x0) / (x1 - x0) * 640
+        py = 480 - (v.imag - y0) / (y1 - y0) * 480
         return px, py
 
     colors = {"zero_section": "#2a7", "upper_sheet": "#c33",
@@ -502,5 +436,5 @@ def figure_svg(curves: dict[str, list], width: int = 640,
         color = colors.get(name, "#%02x%02x%02x" % (40 * i % 256, 60, 120))
         paths.append('<path d="%s" fill="none" stroke="%s" '
                      'stroke-width="1.5"/>' % (d, color))
-    return ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d">\n'
-            '%s\n</svg>\n' % (width, height, "\n".join(paths)))
+    return ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 640 480">\n'
+            '%s\n</svg>\n' % "\n".join(paths))

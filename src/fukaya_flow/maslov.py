@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (AngleOutOfRange, InvalidIndexProblem,
-                     MismatchedPuncture, NotClosed)
+                     MismatchedPuncture, NotClosed, UnknownConvention)
 
 Angle = Union[Fraction, float, int]
 
@@ -57,7 +57,8 @@ class LagrangianLineLoop:
 
     def __post_init__(self):
         if self.convention not in ("dx^dy", "dy^dx"):
-            raise ValueError("convention must be dx^dy or dy^dx")
+            raise UnknownConvention("convention must be dx^dy or dy^dx, "
+                                    "got %r" % (self.convention,))
         if len(self.breakpoints) < 2:
             raise NotClosed("a loop needs at least two breakpoints")
 
@@ -153,31 +154,26 @@ class BoundaryData:
     positive_range: bool = False
 
 
-def winding_number(arcs: Sequence[LagrangianLineLoop | Sequence],
+def winding_number(arcs: Sequence[LagrangianLineLoop],
                    boundary: BoundaryData) -> int:
     """Degree in the line circle of the loop obtained from the given
     arcs by inserting the short puncture homotopy between consecutive
     arc endpoints (arc i ends, arc i+1 starts; the last arc closes up
-    to the first).
-
-    Arcs may be LagrangianLineLoop instances or bare breakpoint lists.
-    """
-    arc_list = [a if isinstance(a, LagrangianLineLoop)
-                else LagrangianLineLoop(tuple(a)) for a in arcs]
-    if boundary.punctures != len(arc_list):
+    to the first)."""
+    if boundary.punctures != len(arcs):
         raise MismatchedPuncture(
-            "%d arcs but %d punctures" % (len(arc_list), boundary.punctures))
-    changes = [a.total_over_pi("arc %d " % i) for i, a in enumerate(arc_list)]
+            "%d arcs but %d punctures" % (len(arcs), boundary.punctures))
+    changes = [a.total_over_pi("arc %d " % i) for i, a in enumerate(arcs)]
     exact = all(isinstance(c, Fraction) for c in changes)
 
     total = Fraction(0) if exact else 0.0
     for i, change in enumerate(changes):
         total += change if exact else _float(
             change, "the angle change of arc %d" % i)
-    for i, arc in enumerate(arc_list):
-        j = (i + 1) % len(arc_list)
+    for i, arc in enumerate(arcs):
+        j = (i + 1) % len(arcs)
         # in units of pi, i.e. of 2*sigma
-        jump = _minus(arc_list[j]._angles_over_pi()[0],
+        jump = _minus(arcs[j]._angles_over_pi()[0],
                       arc._angles_over_pi()[-1], "arc %d breakpoint 0" % j,
                       "arc %d breakpoint %d" % (i, len(arc.breakpoints) - 1))
         if exact:
@@ -278,10 +274,17 @@ def glued_index(parts: Sequence[OperatorPart],
     return total
 
 
+def _require_ints(**values) -> None:
+    for name, x in values.items():
+        if not isinstance(x, int):
+            raise InvalidIndexProblem("%s must be an int, got %r" % (name, x))
+
+
 def solve_triangle_system(n: int, mu: int, mu_prime: int
                           ) -> tuple[int, int]:
     """Solve the pair of gluing equations for the half-plane and
     triangle indices; returns (index_H, index_V)."""
+    _require_ints(n=n, mu=mu, mu_prime=mu_prime)
     double_h = 2 * n - 1 + mu_prime
     if double_h % 2 != 0:
         raise InvalidIndexProblem("system has no integer solution for "
@@ -295,6 +298,7 @@ def vanishing_triangle_index(base_dim: int) -> dict[str, int]:
     """Indices of the triangle problem over a base of even dimension
     base_dim = 2k: both Maslov inputs are -1, the fiber half-dimension
     is n = base_dim - 1, and the triangle index comes out 2k - 2."""
+    _require_ints(base_dim=base_dim)
     if base_dim < 2 or base_dim % 2 != 0:
         raise InvalidIndexProblem("base dimension must be even and >= 2")
     n = base_dim - 1

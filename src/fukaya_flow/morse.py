@@ -595,19 +595,21 @@ class CascadeComplex:
 
     def betti_by_degree(self) -> tuple[int, ...]:
         """Betti numbers b_0 .. b_top, the homology basis counted by
-        degree.  Every generator needs a degree of at least 0, and d must
-        drop it by one; then each kernel combination is homogeneous and
-        the representatives of degree d are a basis of H_d."""
+        degree.  Every generator needs an int degree of at least 0, and
+        d must drop it by one; then each kernel combination is
+        homogeneous and the representatives of degree d are a basis of
+        H_d."""
         if not self.degrees:
             raise MalformedComplex("complex carries no degrees")
         missing = [g for g in self.generators if g not in self.degrees]
         if missing:
             raise UnknownGenerator("generator %s has no degree" % missing[0])
         degree = [self.degrees[g] for g in self.generators]
-        negative = [g for g, d in zip(self.generators, degree) if d < 0]
-        if negative:
-            raise MalformedComplex("generator %s has negative degree"
-                                   % negative[0])
+        bad = [(g, d) for g, d in zip(self.generators, degree)
+               if not isinstance(d, int) or d < 0]
+        if bad:
+            raise MalformedComplex("generator %s has degree %r, not an int "
+                                   ">= 0" % bad[0])
         below = [0] * (max(degree) + 2)  # below[d]: generators of degree d-1
         for i, d in enumerate(degree):
             below[d + 1] |= 1 << i

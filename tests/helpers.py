@@ -329,7 +329,8 @@ def reference_betti_by_degree(cx: CascadeComplex) -> tuple[int, ...]:
     generators of degree d, over columns packed here from the
     boundaries the complex reports.  It refuses what the complex
     refuses, with the same error classes: no degrees, a generator with
-    no degree, a negative degree, a boundary outside the degree below."""
+    no degree, a degree that is no int >= 0, a boundary outside the
+    degree below."""
     if not cx.degrees:
         raise MalformedComplex("complex carries no degrees")
     if any(g not in cx.degrees for g in cx.generators):
@@ -338,8 +339,8 @@ def reference_betti_by_degree(cx: CascadeComplex) -> tuple[int, ...]:
     cols_by_degree: dict[int, list[int]] = {}
     for g in cx.generators:
         d = cx.degrees[g]
-        if d < 0:
-            raise MalformedComplex("negative degree")
+        if not isinstance(d, int) or d < 0:
+            raise MalformedComplex("degree is no int >= 0")
         col = functools.reduce(lambda v, h: v ^ 1 << index[h],
                                cx.boundary(g), 0)
         if any(cx.degrees[cx.generators[i]] != d - 1 for i in f2.bits(col)):

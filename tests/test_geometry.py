@@ -13,29 +13,30 @@ RNG = lambda seed=0: np.random.default_rng(seed)
 
 
 def test_cotangent_point_invariants():
-    g.CotangentPoint((1.0, 0.0, 0.0, 0.0), (0.0, 2.0, 0.0, 0.0))
+    # mu_inv checks |u| = 1 and u.v = 0 on its point (u, v)
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    g.mu_inv(u, np.array([0.0, 2.0, 0.0, 0.0]))
     with pytest.raises(errors.DomainViolation):
-        g.CotangentPoint((1.1, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+        g.mu_inv(np.array([1.1, 0.0, 0.0, 0.0]), np.zeros(4))
     with pytest.raises(errors.DomainViolation):
-        g.CotangentPoint((1.0, 0.0, 0.0, 0.0), (1e-6, 0.0, 0.0, 0.0))
+        g.mu_inv(u, np.array([1e-6, 0.0, 0.0, 0.0]))
 
 
 def test_quadric_point_invariant():
-    g.QuadricPoint((1.0, 0.0, 0.0, 0.0))
+    # mu checks sum z_j^2 = 1 on its point z
+    g.mu(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(errors.DomainViolation):
-        g.QuadricPoint((1.0, 1.0, 0.0, 0.0))
+        g.mu(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
 
 
 def test_mu_on_real_unit_vector():
-    z = g.QuadricPoint((0.0, 1.0, 0.0, 0.0))
-    p = g.mu(z)
-    assert p.u == (0.0, 1.0, 0.0, 0.0)
-    assert p.v == (0.0, 0.0, -0.0, -0.0) or all(x == 0 for x in p.v)
+    u, v = g.mu(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
+    assert u.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert all(x == 0 for x in v)
 
 
 def test_mu_inv_on_zero_section():
-    p = g.CotangentPoint((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0))
-    z = g.mu_inv(p).array()
+    z = g.mu_inv(np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(4))
     assert np.allclose(z, np.array([0, 0, 1, 0], dtype=complex), atol=1e-15)
 
 
@@ -146,11 +147,11 @@ def test_unit_pairs_follow_per_pair_draws():
 def test_sigma_zero_section_points():
     e = np.array([1.0, 0.0])
     f = np.array([0.0, 1.0])
-    p = g.sigma(e, f, 0.0, 0.0)
-    assert p.u == (1.0, 0.0, 0.0, 0.0)
-    assert all(x == 0 for x in p.v)
-    p = g.sigma(e, f, math.pi / 2, 0.0)
-    assert abs(p.u[0]) < 1e-15 and abs(p.u[2]) < 1e-16 and p.u[3] == 1.0
+    u, v = g.sigma(e, f, 0.0, 0.0)
+    assert u.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert all(x == 0 for x in v)
+    u, _ = g.sigma(e, f, math.pi / 2, 0.0)
+    assert abs(u[0]) < 1e-15 and abs(u[2]) < 1e-16 and u[3] == 1.0
 
 
 def test_sigma_requires_unit_vectors():
@@ -160,8 +161,8 @@ def test_sigma_requires_unit_vectors():
 
 def _batch(rng, n):
     """n points of each kind as arrays, all inside the domains."""
-    z = np.array([g.random_quadric_point(rng).array() for _ in range(n)])
-    return (z, *g.mu_batch(z))
+    z = np.array([g._quadric_draw(rng) for _ in range(n)])
+    return (z, *g.mu(z))
 
 
 def test_batch_domain_violation_names_the_point():
@@ -170,34 +171,95 @@ def test_batch_domain_violation_names_the_point():
     bad_u[17] *= 1.0 + 3e-12
     with pytest.raises(errors.DomainViolation,
                        match=r"^point 17: \|u\| differs from 1 by 3\.0e-12$"):
-        g.mu_inv_batch(bad_u, v)
+        g.mu_inv(bad_u, v)
     bad_v = v.copy()
     bad_v[23] += 1e-6 * u[23]
     with pytest.raises(errors.DomainViolation,
                        match=r"^point 23: u\.v differs from 0 by 1\.0e-06$"):
-        g.mu_inv_batch(u, bad_v)
+        g.mu_inv(u, bad_v)
     bad_z = z.copy()
     bad_z[31] *= 1.0 + 1e-9
     with pytest.raises(errors.DomainViolation,
                        match=(r"^point 31: sum z_j\^2 differs from 1 "
                               r"by 2\.0e-09$")):
-        g.mu_batch(bad_z)
+        g.mu(bad_z)
     e = np.tile([1.0, 0.0], (40, 1))
     f = np.tile([0.0, 1.0], (40, 1))
     f[9] = (0.0, 1.5)
     with pytest.raises(errors.DomainViolation,
                        match=r"^point 9: \|f\| differs from 1 by 5\.0e-01$"):
-        g.sigma_batch(e, f, np.zeros(40), np.zeros(40))
+        g.sigma(e, f, np.zeros(40), np.zeros(40))
     # the first offending point is named, not a later or larger one
     bad_u[30] *= 2.0
     with pytest.raises(errors.DomainViolation, match=r"^point 17: "):
-        g.mu_inv_batch(bad_u, v)
+        g.mu_inv(bad_u, v)
 
 
 def test_sigma_invariance_under_ef():
+    # P(mu_inv(sigma(e, f, theta, lam))) is the same for 100 random (e, f)
     rng = RNG(7)
     for theta, lam in ((0.3, 0.5), (1.2, -0.7), (2.5, 1.5)):
-        assert g.sigma_invariance_spread(rng, theta, lam, 100) < 1e-10
+        e, f = g._unit_pairs(rng, 100)
+        values = g.quadratic(g.mu_inv(*g.sigma(e, f, theta, lam)))
+        assert np.max(np.abs(values - values[0])) < 1e-10
+
+
+def _kernel_cases():
+    """(name, batch arguments, one bad point's arguments, its message):
+    the batch holds 12 points; the messages are the deviations alone,
+    with no point index."""
+    z, u, v = _batch(RNG(5), 12)
+    e, f = g._unit_pairs(RNG(6), 12)
+    theta, lam = np.linspace(0.0, 6.0, 12), np.linspace(-3.0, 3.0, 12)
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+    return [
+        ("mu", (z,), (np.array([1.0, 1.0, 0.0, 0.0], dtype=complex),),
+         r"sum z_j\^2 differs from 1 by 1\.0e\+00"),
+        ("mu_inv", (u, v), (1.1 * one, np.zeros(4)),
+         r"\|u\| differs from 1 by 1\.0e-01"),
+        ("mu_inv", (u, v), (one, 1e-6 * one),
+         r"u\.v differs from 0 by 1\.0e-06"),
+        ("sigma", (e, f, theta, lam), ((2.0, 0.0), (0.0, 1.0), 0.1, 0.1),
+         r"\|e\| differs from 1 by 1\.0e\+00"),
+        ("sigma", (e, f, theta, lam), ((1.0, 0.0), (0.0, 0.5), 0.1, 0.1),
+         r"\|f\| differs from 1 by 5\.0e-01"),
+        ("quadratic", (z,), None, None),
+    ]
+
+
+@pytest.mark.parametrize("name,batch,bad,message", _kernel_cases(),
+                         ids=("mu", "mu_inv-u", "mu_inv-uv", "sigma-e",
+                              "sigma-f", "quadratic"))
+def test_kernel_on_a_point_matches_its_row(name, batch, bad, message):
+    """Each kernel maps a (4,) point (a (2,) e and f and scalar theta
+    and lam for sigma) to the values of that point's row in a batch,
+    and refuses one bad point with the message of a single point."""
+    kernel = getattr(g, name)
+
+    def outputs(*args):
+        out = kernel(*args)
+        return out if isinstance(out, tuple) else (out,)
+
+    rows = outputs(*batch)
+    for i in range(12):
+        for one, row in zip(outputs(*(a[i] for a in batch)), rows,
+                            strict=True):
+            assert np.shape(one) == np.shape(row[i])
+            assert np.array_equal(one, row[i])
+    if bad is not None:
+        with pytest.raises(errors.DomainViolation, match="^%s$" % message):
+            kernel(*bad)
+
+
+def test_trivialization_and_rho_refuse_off_quadric_points():
+    # trivialization checks its input, rho its output: a non-unit e
+    # leaves the quadric
+    with pytest.raises(errors.DomainViolation,
+                       match=r"^sum z_j\^2 differs from 1 by 1\.0e\+00$"):
+        g.trivialization(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(errors.DomainViolation,
+                       match=r"^sum z_j\^2 differs from 1 by 3\.0e\+00$"):
+        g.rho((2.0, 0.0), (0.0, 1.0), 1.0)
 
 
 def test_p_image_values():
@@ -243,7 +305,7 @@ def test_nested_ellipses():
 def test_trivialization_unit_outputs():
     rng = RNG(3)
     for _ in range(50):
-        z = g.random_quadric_point(rng)
+        z = g._quadric_draw(rng)
         try:
             lam, first, second = g.trivialization(z, region_check=False,
                                                   allow_any_branch=True)
@@ -257,11 +319,11 @@ def test_trivialization_alpha_beta_at_zero():
     # lam = 0: alpha = beta = sqrt(2); take e = (1,0), f = (0,1), theta=pi/4
     e = np.array([1.0, 0.0])
     f = np.array([0.0, 1.0])
-    z = g.mu_inv(g.sigma(e, f, math.pi / 4, 0.0))
+    z = g.mu_inv(*g.sigma(e, f, math.pi / 4, 0.0))
     lam, first, second = g.trivialization(z, region_check=False)
     assert abs(lam) < 1e-12
     root2 = math.sqrt(2.0)
-    assert abs(first[0] - root2 * z.array()[0]) < 1e-12
+    assert abs(first[0] - root2 * z[0]) < 1e-12
 
 
 def test_trivialization_slice_recovers_e_f():
@@ -270,10 +332,8 @@ def test_trivialization_slice_recovers_e_f():
         e = g.random_unit2(rng)
         f = g.random_unit2(rng)
         # theta = pi/4 maps to lam = 2i lam' on the positive imaginary axis
-        z = g.mu_inv(g.sigma(e, f, math.pi / 4, 0.8))
-        lam, first, second = g.trivialization(z)
-        w1 = np.array([first[0], first[1]])
-        w2 = np.array([second[0], second[1]])
+        z = g.mu_inv(*g.sigma(e, f, math.pi / 4, 0.8))
+        lam, w1, w2 = g.trivialization(z)
         assert min(np.max(np.abs(w1 - e)), np.max(np.abs(w1 + e))) < 1e-10
         assert np.max(np.abs(w1.imag)) < 1e-10
         assert min(np.max(np.abs(w2 - f)), np.max(np.abs(w2 + f))) < 1e-10
@@ -284,7 +344,7 @@ def test_trivialization_inverts():
     rng = RNG(29)
     recovered = 0
     while recovered < 25:
-        z = g.random_quadric_point(rng)
+        z = g._quadric_draw(rng)
         try:
             lam, first, second = g.trivialization(z, region_check=False,
                                                   allow_any_branch=True)
@@ -292,9 +352,8 @@ def test_trivialization_inverts():
             continue
         alpha = (2.0 / (1.0 + lam)) ** 0.5
         beta = (2.0 / (1.0 - lam)) ** 0.5
-        back = np.array([first[0] / alpha, first[1] / alpha,
-                         second[0] / beta, second[1] / beta])
-        assert np.max(np.abs(back - z.array())) < g.ROUNDTRIP_TOL
+        back = np.concatenate((first / alpha, second / beta))
+        assert np.max(np.abs(back - z)) < g.ROUNDTRIP_TOL
         recovered += 1
 
 
@@ -302,14 +361,14 @@ def test_branch_cut_guards():
     e = np.array([1.0, 0.0])
     f = np.array([0.0, 1.0])
     # theta = 0, lam = 1: P = sqrt(5) > 1 real: on the beta cut
-    z = g.mu_inv(g.sigma(e, f, 0.0, 1.0))
+    z = g.mu_inv(*g.sigma(e, f, 0.0, 1.0))
     with pytest.raises(errors.BranchCutProximity):
         g.trivialization(z, region_check=False)
     lam, first, second = g.trivialization(z, region_check=False,
                                           allow_any_branch=True)
     assert abs(second[0] ** 2 + second[1] ** 2 - 1.0) < 1e-10
     # P = 1 exactly: the zero section point at theta = 0
-    z = g.mu_inv(g.sigma(e, f, 0.0, 0.0))
+    z = g.mu_inv(*g.sigma(e, f, 0.0, 0.0))
     with pytest.raises(errors.BranchCutProximity):
         g.trivialization(z, region_check=False, allow_any_branch=True)
 
@@ -317,9 +376,9 @@ def test_branch_cut_guards():
 def test_rho_special_values():
     e = (1.0, 0.0)
     f = (0.0, 1.0)
-    z = g.rho(e, f, 1.0).array()
+    z = g.rho(e, f, 1.0)
     assert np.allclose(z, [1, 0, 0, 0], atol=1e-15)
-    z = g.rho(e, f, 1j).array()
+    z = g.rho(e, f, 1j)
     assert np.allclose(z, [0, 0, 0, 1], atol=1e-15)
 
 
@@ -328,7 +387,7 @@ def test_rho_unit_circle_identity():
     for _ in range(200):
         ang = rng.uniform(0, 2 * math.pi)
         zeta = complex(math.cos(ang), math.sin(ang))
-        z = g.rho(g.random_unit2(rng), g.random_unit2(rng), zeta).array()
+        z = g.rho(g.random_unit2(rng), g.random_unit2(rng), zeta)
         assert abs(np.sum(z * z) - 1.0) < g.CONSTRUCTION_TOL
 
 
@@ -372,10 +431,10 @@ def test_nan_error_fails_the_check(monkeypatch):
     assert math.isnan(report["p_image_grid"]["error"])
     assert not report["p_image_grid"]["ok"]
     # a NaN error in the middle of the samples is kept to the end: the
-    # first mu_inv_batch call is the quadric roundtrip, and its row 1
-    # the second sample's
+    # first mu_inv call is the quadric roundtrip, and its row 1 the
+    # second sample's
     calls = itertools.count()
-    real = g.mu_inv_batch
+    real = g.mu_inv
 
     def nan_in_second_sample(u, v):
         z = real(u, v)
@@ -383,7 +442,7 @@ def test_nan_error_fails_the_check(monkeypatch):
             z[1] = nan
         return z
 
-    monkeypatch.setattr(g, "mu_inv_batch", nan_in_second_sample)
+    monkeypatch.setattr(g, "mu_inv", nan_in_second_sample)
     worst_z, worst_p = g.roundtrip_errors(RNG(0), 4)
     assert math.isnan(worst_z) and worst_p < g.ROUNDTRIP_TOL
 

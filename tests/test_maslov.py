@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,10 @@ from fukaya_flow.maslov import (BoundaryData, LagrangianLineLoop,
                                 glued_index, loop_degree, maslov_of_loop,
                                 solve_triangle_system,
                                 vanishing_triangle_index, winding_number)
+
+
+def _arcs(breakpoint_lists):
+    return [LagrangianLineLoop(tuple(b)) for b in breakpoint_lists]
 
 
 def _loop(total_over_pi, convention="dx^dy"):
@@ -116,18 +121,20 @@ def test_winding_puncture_count_checked():
      "breakpoint 0"),
     (lambda: maslov_of_loop(LagrangianLineLoop(((0, 0.5), (1, -10**400)))),
      "breakpoint 1"),
-    (lambda: winding_number([((0, 10**400), (1, 0.5))], BoundaryData(1)),
+    (lambda: winding_number(_arcs([((0, 10**400), (1, 0.5))]),
+                            BoundaryData(1)),
      "arc 0 breakpoint 0"),
     # an int arc beside a float arc: its angle change, then its endpoint
-    (lambda: winding_number([((0, 0), (1, 10**400)), ((0, 0.0), (1, 0.5))],
-                            BoundaryData(2)),
+    (lambda: winding_number(_arcs([((0, 0), (1, 10**400)),
+                                   ((0, 0.0), (1, 0.5))]), BoundaryData(2)),
      "the angle change of arc 0"),
-    (lambda: winding_number([((0, 10**400), (1, 10**400)),
-                             ((0, 0.0), (1, 0.5))], BoundaryData(2)),
+    (lambda: winding_number(_arcs([((0, 10**400), (1, 10**400)),
+                                   ((0, 0.0), (1, 0.5))]), BoundaryData(2)),
      "arc 0 breakpoint 1"),
     # two exact endpoints whose difference meets the float arithmetic
-    (lambda: winding_number([((0, 0), (1, 0)), ((0, 10**400), (1, 10**400)),
-                             ((0, 0.0), (1, 0.5))], BoundaryData(3)),
+    (lambda: winding_number(_arcs([((0, 0), (1, 0)),
+                                   ((0, 10**400), (1, 10**400)),
+                                   ((0, 0.0), (1, 0.5))]), BoundaryData(3)),
      "the jump at puncture 0"),
 ])
 def test_exact_angle_beyond_float_range_names_the_breakpoint(call, where):
@@ -142,7 +149,8 @@ def test_huge_exact_angles_stay_exact():
     assert maslov_of_loop(LagrangianLineLoop(((0, 10**400),
                                               (1, 10**400 + 4)))) == 2
     def arcs(shift):
-        return [((0, shift), (1, shift + 1)), ((0, shift + 2), (1, shift + 3))]
+        return _arcs([((0, shift), (1, shift + 1)),
+                      ((0, shift + 2), (1, shift + 3))])
     assert winding_number(arcs(10**400), BoundaryData(2)) == \
         winding_number(arcs(0), BoundaryData(2)) == 0
 
@@ -157,8 +165,9 @@ def test_huge_exact_angles_stay_exact():
     # refused all the same
     (lambda a: loop_degree(LagrangianLineLoop(
         ((0, 0.0), (1, a), (2, 2 * math.pi)))), "breakpoint 1"),
-    (lambda a: winding_number([((0, 0.0), (1, 0.5)), ((0, 0.0), (1, a))],
-                              BoundaryData(2)), "arc 1 breakpoint 1"),
+    (lambda a: winding_number(_arcs([((0, 0.0), (1, 0.5)),
+                                     ((0, 0.0), (1, a))]), BoundaryData(2)),
+     "arc 1 breakpoint 1"),
     (lambda a: winding_number(
         [LagrangianLineLoop(((0, a), (1, 0.5)))], BoundaryData(1)),
      "arc 0 breakpoint 0"),
@@ -180,7 +189,7 @@ def test_angle_change_beyond_the_float_range():
             ((0, 4 * s + 1), (1, 2 * s + 1)), ((0, 2 * s + 3 * h), (1, 3 * h)),
             ((0, 2 * math.pi), (1, 0.5 * math.pi))]
     with pytest.raises(errors.AngleOutOfRange, match="not finite"):
-        winding_number(arcs, BoundaryData(5))
+        winding_number(_arcs(arcs), BoundaryData(5))
 
 
 def test_jump_beyond_the_float_range_names_the_puncture():
@@ -191,7 +200,7 @@ def test_jump_beyond_the_float_range_names_the_puncture():
             ((0, -1.7e308), (1, -1.7e308))]
     with pytest.raises(errors.AngleOutOfRange,
                        match="^the jump at puncture 0 is not finite$"):
-        winding_number(arcs, BoundaryData(2))
+        winding_number(_arcs(arcs), BoundaryData(2))
 
 
 def test_not_closed_past_the_int_to_str_limit():
@@ -297,3 +306,33 @@ def test_vanishing_triangle_index_general_dimension():
         assert result["index_V"] == 2 * k - 2
     with pytest.raises(ValueError):
         vanishing_triangle_index(3)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: LagrangianLineLoop(((0, 0), (1, 2)), "dz^dw"),
+     errors.UnknownConvention, "got 'dz^dw'"),
+    (lambda: LagrangianLineLoop(((0, 0), (1, 2)), None),
+     errors.UnknownConvention, "got None"),
+    (lambda: solve_triangle_system(4.0, -1, -1),
+     errors.InvalidIndexProblem, "n must be an int, got 4.0"),
+    (lambda: solve_triangle_system("3", -1, -1),
+     errors.InvalidIndexProblem, "n must be an int, got '3'"),
+    (lambda: solve_triangle_system(3, -1.0, -1),
+     errors.InvalidIndexProblem, "mu must be an int, got -1.0"),
+    (lambda: solve_triangle_system(3, -1, F(-1)),
+     errors.InvalidIndexProblem,
+     "mu_prime must be an int, got Fraction(-1, 1)"),
+    (lambda: vanishing_triangle_index(4.0),
+     errors.InvalidIndexProblem, "base_dim must be an int, got 4.0"),
+    (lambda: vanishing_triangle_index("4"),
+     errors.InvalidIndexProblem, "base_dim must be an int, got '4'"),
+], ids=("convention", "no-convention", "float-n", "str-n", "float-mu",
+        "fraction-mu-prime", "float-base-dim", "str-base-dim"))
+def test_malformed_arguments_raise_named_errors(call, error, message):
+    """A convention other than dx^dy or dy^dx, and an index argument
+    that is no int, raise a package error naming the value, never float
+    or Fraction indices or a bare TypeError."""
+    with pytest.raises(error, match="%s$" % re.escape(message)) as info:
+        call()
+    assert isinstance(info.value, errors.FukayaFlowError)
+    assert isinstance(info.value, ValueError)

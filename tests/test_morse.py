@@ -93,20 +93,28 @@ def test_unknown_generators_in_complex_named():
         cx.boundary("zz")
 
 
-@pytest.mark.parametrize("build", [
-    lambda: CascadeComplex(("a",), (0,)).betti_by_degree(),
+@pytest.mark.parametrize("build,message", [
+    (lambda: CascadeComplex(("a",), (0,)).betti_by_degree(),
+     "complex carries no degrees"),
     # d a = b keeps the degree of a
-    lambda: CascadeComplex(("a", "b"), (0b10, 0),
-                           {"a": 1, "b": 1}).betti_by_degree(),
+    (lambda: CascadeComplex(("a", "b"), (0b10, 0),
+                            {"a": 1, "b": 1}).betti_by_degree(),
+     "differential does not drop degree"),
     # d a lands in degree 0, and no generator has degree 1
-    lambda: CascadeComplex(("a", "b"), (0b10, 0),
-                           {"a": 2, "b": 0}).betti_by_degree(),
-    lambda: CascadeComplex(("a",), (0,), {"a": -1}).betti_by_degree(),
-    lambda: AffineMap(((1, 0),), (F(0), F(0))),
+    (lambda: CascadeComplex(("a", "b"), (0b10, 0),
+                            {"a": 2, "b": 0}).betti_by_degree(),
+     "differential does not drop degree"),
+    (lambda: CascadeComplex(("a",), (0,), {"a": -1}).betti_by_degree(),
+     "generator a has degree -1, not an int >= 0"),
+    (lambda: CascadeComplex(("a",), (0,), {"a": "x"}).betti_by_degree(),
+     "generator a has degree 'x', not an int >= 0"),
+    (lambda: CascadeComplex(("a",), (0,), {"a": 1.5}).betti_by_degree(),
+     "generator a has degree 1.5, not an int >= 0"),
+    (lambda: AffineMap(((1, 0),), (F(0), F(0))), "one offset per row"),
 ], ids=("no-degrees", "degree-kept", "empty-degree", "negative-degree",
-        "offset-count"))
-def test_malformed_complex_is_a_package_error(build):
-    with pytest.raises(errors.FukayaFlowError) as info:
+        "str-degree", "float-degree", "offset-count"))
+def test_malformed_complex_is_a_package_error(build, message):
+    with pytest.raises(errors.FukayaFlowError, match=message) as info:
         build()
     assert isinstance(info.value, errors.MalformedComplex)
     assert isinstance(info.value, ValueError)
