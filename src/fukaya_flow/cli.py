@@ -230,14 +230,14 @@ def cmd_cascade_diagnostics(args) -> int:
 
 
 def _is_int(x) -> bool:
-    # within the float range, so an integer angle mixes with float ones
-    # and a glued index stays printable
+    # within the float range, so that a glued index stays printable
     return (isinstance(x, int) and not isinstance(x, bool)
             and abs(x) <= sys.float_info.max)
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, float) and math.isfinite(x))
 
 
 def _is_breakpoint(x) -> bool:
@@ -283,7 +283,7 @@ def cmd_maslov(args) -> int:
     if args.loop is not None:
         breakpoints = _json_list("--loop", args.loop, _is_breakpoint,
                                  "a [t, angle] pair of finite floats or "
-                                 "integers within the float range")
+                                 "integers")
         loop = maslov.LagrangianLineLoop(
             tuple((t, a) for t, a in breakpoints), convention)
         value = maslov.maslov_of_loop(loop)

@@ -59,7 +59,8 @@ class DuplicateGeneratorName(FukayaFlowError):
 
 class MalformedCategory(FukayaFlowError, ValueError):
     """A directed category presentation whose hom layers, object names,
-    table keys or products do not fit; the message names which."""
+    table keys or products do not fit, or a composition through a middle
+    index it does not have; the message names which."""
 
 
 # --- Morse-Bott machinery ---
@@ -108,8 +109,9 @@ class UnknownComponent(FukayaFlowError):
 
 
 class UnknownGenerator(FukayaFlowError):
-    """A tag, boundary, relation or cascade query names no generator of
-    the complex, presentation or components; a generator has no degree."""
+    """A tag, boundary, relation, vector, composition or cascade query
+    names no generator of the complex, presentation, hom layer or
+    components; a generator has no degree."""
 
 
 class NegativeCascadeCount(FukayaFlowError):
@@ -123,8 +125,8 @@ class NotClosed(FukayaFlowError):
 
 
 class AngleOutOfRange(FukayaFlowError, OverflowError):
-    """A loop's float arithmetic meets a non-finite angle, or an exact
-    one beyond the float range; the message names the breakpoint."""
+    """A loop has a non-finite float angle; the message names the
+    breakpoint.  Every other angle is an exact rational multiple of pi."""
 
 
 class UnknownConvention(FukayaFlowError, ValueError):
@@ -144,7 +146,8 @@ class InvalidIndexProblem(FukayaFlowError, ValueError):
 # --- numeric geometry ---
 
 class DomainViolation(FukayaFlowError):
-    """A point fails its defining constraint beyond tolerance."""
+    """A point fails its defining constraint beyond tolerance, or is not
+    of the shape its map takes."""
 
 
 class BranchCutProximity(FukayaFlowError):

@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DuplicateGeneratorName, MalformedCategory
+from .errors import (DuplicateGeneratorName, MalformedCategory,
+                     UnknownGenerator)
 from .homology import ComplementHomology, F2Presentation, \
     complement_homology
 from .links import FramedLink, linking_matrix
@@ -77,12 +78,12 @@ class DirectedCategoryPresentation:
                 if not isinstance(product, int):
                     product = target.vector(product)
                 elif product < 0 or product >> len(target.generators):
-                    raise KeyError("bitmask %#x" % product)
-            except KeyError as exc:
-                raise MalformedCategory(
-                    "table key %r: product generator %r is not a morphism "
-                    "of hom(%s, %s)" % (key, exc.args[0], self.top,
-                                        self.bottom)) from None
+                    raise UnknownGenerator("'bitmask %#x' is not a generator"
+                                           % product)
+            except UnknownGenerator as exc:
+                raise MalformedCategory("table key %r: product %s of hom(%s, "
+                                        "%s)" % (key, exc, self.top,
+                                                 self.bottom)) from None
             table[key] = target.canonicalize(product)
         object.__setattr__(self, "table", table)
 
@@ -95,12 +96,22 @@ class DirectedCategoryPresentation:
         """Bilinear composition of chains through middle object mid.
 
         u and v are generator names or iterables of names (mod-2 chains
-        in hom(top, mid) and hom(mid, bottom)).
+        in hom(top, mid) and hom(mid, bottom)).  A mid that is no index
+        of a middle object raises MalformedCategory, and a name outside
+        the middle's hom layers UnknownGenerator.
         """
-        if isinstance(u, str):
-            u = (u,)
-        if isinstance(v, str):
-            v = (v,)
+        if not (isinstance(mid, int) and 0 <= mid < len(self.middles)):
+            raise MalformedCategory("middle index %r names no middle object"
+                                    % (mid,))
+        u = (u,) if isinstance(u, str) else tuple(u)
+        v = (v,) if isinstance(v, str) else tuple(v)
+        for chain, layer in ((u, self.hom_top_mid[mid]),
+                             (v, self.hom_mid_bottom[mid])):
+            for g in chain:
+                if g not in layer:
+                    raise UnknownGenerator(
+                        "%r is not a morphism of middle object %s"
+                        % (g, self.middles[mid]))
         acc = 0
         for gu in u:
             for gv in v:

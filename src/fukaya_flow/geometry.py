@@ -96,13 +96,23 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
+def _check_axis(a, name: str, length: int = 4) -> None:
+    """Refuse an array whose trailing axis is not of the given length."""
+    if np.shape(a)[-1:] != (length,):
+        raise DomainViolation("%s must have a trailing axis of length %d, "
+                              "got shape %s" % (name, length, np.shape(a)))
+
+
 def _check_cotangent(u: np.ndarray, v: np.ndarray) -> None:
+    _check_axis(u, "u")
+    _check_axis(v, "v")
     _require(np.abs(_norm(u) - 1.0), "|u| differs from 1")
     _require(np.abs(np.sum(u * v, axis=-1)), "u.v differs from 0",
              lambda: _norm(v))
 
 
 def _check_quadric(z: np.ndarray) -> None:
+    _check_axis(z, "z")
     _require(np.abs(np.sum(z * z, axis=-1) - 1.0),
              "sum z_j^2 differs from 1",
              lambda: np.sum(np.abs(z) ** 2, axis=-1))
@@ -137,8 +147,7 @@ def sigma(e, f, theta, lam) -> tuple[np.ndarray, np.ndarray]:
     angles theta and heights lam of shape () or (N,); returns (u, v)."""
     e, f = np.asarray(e, dtype=float), np.asarray(f, dtype=float)
     for w, name in ((e, "e"), (f, "f")):
-        if w.shape[-1:] != (2,):
-            raise DomainViolation("%s must be a unit 2-vector" % name)
+        _check_axis(w, name, 2)
         _require(np.abs(_norm(w) - 1.0), "|%s| differs from 1" % name)
     c = np.cos(theta)[..., None]
     s = np.sin(theta)[..., None]
@@ -152,6 +161,7 @@ def sigma(e, f, theta, lam) -> tuple[np.ndarray, np.ndarray]:
 def quadratic(z: np.ndarray):
     """P(z) = z1^2 + z2^2 - z3^2 - z4^2 over the last axis of z: one
     complex for a point, shape (N,) for a batch."""
+    _check_axis(z, "z")
     return z[..., 0] ** 2 + z[..., 1] ** 2 - z[..., 2] ** 2 - z[..., 3] ** 2
 
 
@@ -178,6 +188,9 @@ def trivialization(z: np.ndarray, region_check: bool = True,
     insists on Im(lam) >= -1e-8 (the trivialized region lies in the
     closed upper half-plane).
     """
+    if np.shape(z) != (4,):
+        raise DomainViolation("trivialization takes one point of shape "
+                              "(4,), got shape %s" % (np.shape(z),))
     _check_quadric(z)
     lam = complex(quadratic(z))
     if abs(lam - 1.0) < BRANCH_TOL or abs(lam + 1.0) < BRANCH_TOL:
@@ -238,15 +251,10 @@ def _quadric_draw(rng: np.random.Generator) -> np.ndarray:
             return p / np.sqrt(s)
 
 
-def random_unit2(rng: np.random.Generator) -> np.ndarray:
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([math.cos(ang), math.sin(ang)])
-
-
 def _unit_pairs(rng: np.random.Generator, count: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """count unit pairs (e, f) as two (count, 2) arrays, from the same
-    draws as count successive pairs (random_unit2, random_unit2)."""
+    """count unit pairs (e, f) as two (count, 2) arrays: the angles of
+    e and f are drawn uniformly in [0, 2*pi), in the order e, f, e, f."""
     ang = rng.uniform(0.0, 2.0 * math.pi, size=(count, 2))
     unit = np.stack((np.cos(ang), np.sin(ang)), axis=-1)
     return unit[:, 0], unit[:, 1]

@@ -48,8 +48,11 @@ class F2Presentation:
     def vector(self, names: Iterable[str]) -> int:
         """Mod-2 sum of named generators as a bitmask."""
         v = 0
-        for name in names:
-            v ^= 1 << self._index[name]
+        try:
+            for name in names:
+                v ^= 1 << self._index[name]
+        except KeyError:
+            raise UnknownGenerator("%r is not a generator" % (name,)) from None
         return v
 
     def _relation(self, r: Sequence[str] | int) -> int:

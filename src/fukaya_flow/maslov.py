@@ -5,9 +5,12 @@ Loops of lines in the plane are recorded through the squaring
 identification of the line space with a circle: a breakpoint angle phi
 is the position of the loop on that circle, in radians, so a half-turn
 of the line advances phi by 2*pi and the degree of a closed loop is its
-total phi change divided by 2*pi.  Angles are kept as exact rational
-multiples of pi whenever they are supplied that way; float input is
-accepted and snapped with a closure tolerance.
+total phi change divided by 2*pi.  Every angle is an exact rational
+multiple of pi: an int or Fraction as given, a float in radians as the
+exact value of the float angle / pi.  All arithmetic on angles is exact.
+Where an end angle is a float, a closure tolerance snaps a loop's total
+to a multiple of pi, and an arc set's jumps must clear it to count as
+transverse.  Only a non-finite float angle raises AngleOutOfRange.
 
 The short homotopy inserted at a puncture between transverse asymptotic
 lines changes the line angle by sigma in (-pi, 0) by default (an
@@ -47,8 +50,8 @@ class LagrangianLineLoop:
     """Piecewise-linear loop of lines, as (parameter, angle) breakpoints.
 
     Angles are positions on the line circle through the squaring
-    identification (one half-turn of the line = 2*pi).  Fractions are
-    interpreted as exact multiples of pi; floats as radians.
+    identification (one half-turn of the line = 2*pi).  An int or
+    Fraction is an exact multiple of pi, a float an angle in radians.
     convention is the orientation of the plane: "dx^dy" or "dy^dx".
     """
 
@@ -62,73 +65,53 @@ class LagrangianLineLoop:
         if len(self.breakpoints) < 2:
             raise NotClosed("a loop needs at least two breakpoints")
 
-    def _angles_over_pi(self, at: str = "") -> list[Fraction | float]:
-        angles = [Fraction(a) if isinstance(a, (Fraction, int))
-                  else a / math.pi for _, a in self.breakpoints]
-        for i, a in enumerate(angles):
-            if isinstance(a, float) and not math.isfinite(a):
-                raise AngleOutOfRange("%sbreakpoint %d: the angle %r is not "
-                                      "finite" % (at, i, a * math.pi))
+    def _angles_over_pi(self, at: str = "") -> list[Fraction]:
+        """The angles as exact multiples of pi: an int or Fraction as
+        given, a float in radians as the exact value of the float
+        a / pi; at prefixes the breakpoint that AngleOutOfRange names."""
+        angles = []
+        for i, (_, a) in enumerate(self.breakpoints):
+            if not isinstance(a, (Fraction, int)):
+                if not math.isfinite(a):
+                    raise AngleOutOfRange("%sbreakpoint %d: the angle %r is "
+                                          "not finite" % (at, i, a))
+                a = a / math.pi
+            angles.append(Fraction(a))
         return angles
 
-    def total_over_pi(self, at: str = "") -> Fraction | float:
-        """The angle change over pi; at prefixes the breakpoints that
-        an AngleOutOfRange names."""
-        angles = self._angles_over_pi(at)
-        return _minus(angles[-1], angles[0],
-                      "%sbreakpoint %d" % (at, len(angles) - 1),
-                      at + "breakpoint 0")
+    @property
+    def _snapped(self) -> bool:
+        """Whether an end angle is a float, so that the loop's angle
+        change is snapped to a multiple of pi with _CLOSURE_TOL."""
+        return not all(isinstance(b[1], (Fraction, int))
+                       for b in (self.breakpoints[0], self.breakpoints[-1]))
+
+    def total_over_pi(self) -> Fraction:
+        """The angle change over pi."""
+        angles = self._angles_over_pi()
+        return angles[-1] - angles[0]
 
 
-def _float(angle: Fraction | float, where: str) -> float:
-    """An angle over pi as a float, for arithmetic with float angles; an
-    exact angle beyond the float range raises AngleOutOfRange."""
+def _shown(x: Fraction | int, snapped: bool = False) -> str:
+    """x for a message, to 12 digits if snapped, or its magnitude past
+    the float range (snapped) or the int-to-str limit."""
     try:
-        return float(angle)
-    except OverflowError:
-        raise AngleOutOfRange("%s: an exact angle beyond the float range "
-                              "meets a float angle" % where) from None
-
-
-def _minus(later: Fraction | float, earlier: Fraction | float,
-           later_at: str, earlier_at: str) -> Fraction | float:
-    """later - earlier, exact when both angles are, else in floats."""
-    if isinstance(later, float) or isinstance(earlier, float):
-        later, earlier = _float(later, later_at), _float(earlier, earlier_at)
-    return later - earlier
-
-
-def _shown(x: Fraction | int) -> str:
-    """x for a message, or its magnitude past the int-to-str limit."""
-    try:
-        return str(x)
-    except ValueError:
+        return "%.12g" % x if snapped else str(x)
+    except (OverflowError, ValueError):
         n, d = Fraction(x).as_integer_ratio()
         return "about %s10^%d" % ("-" * (n < 0), math.log10(abs(n))
                                   - math.log10(d))
 
 
-def _halfturns(total_over_pi) -> int:
-    """Exact or tolerance-snapped conversion of an angle change
-    (in units of pi) to twice the degree."""
-    if isinstance(total_over_pi, Fraction):
-        if total_over_pi.denominator != 1:
-            raise NotClosed("total angle change %s*pi is not a multiple "
-                            "of pi" % _shown(total_over_pi))
-        return int(total_over_pi)
-    if not math.isfinite(total_over_pi):
-        raise AngleOutOfRange("the total angle change is not finite")
-    nearest = round(total_over_pi)
-    if abs(total_over_pi - nearest) > _CLOSURE_TOL:
-        raise NotClosed("total angle change %.12g*pi is not a multiple "
-                        "of pi" % total_over_pi)
-    return int(nearest)
-
-
 def loop_degree(loop: LagrangianLineLoop) -> int:
     """Degree of the closed loop on the line circle (signed, for the
-    dx^dy orientation)."""
-    halfturns = _halfturns(loop.total_over_pi())
+    dx^dy orientation).  The angle change must be a multiple of pi,
+    within _CLOSURE_TOL where an end angle is a float."""
+    total = loop.total_over_pi()
+    halfturns = round(total)
+    if abs(total - halfturns) > (_CLOSURE_TOL if loop._snapped else 0):
+        raise NotClosed("total angle change %s*pi is not a multiple of pi"
+                        % _shown(total, loop._snapped))
     if halfturns % 2 != 0:
         raise NotClosed("loop does not close: angle change %s*pi"
                         % _shown(halfturns))
@@ -163,36 +146,20 @@ def winding_number(arcs: Sequence[LagrangianLineLoop],
     if boundary.punctures != len(arcs):
         raise MismatchedPuncture(
             "%d arcs but %d punctures" % (len(arcs), boundary.punctures))
-    changes = [a.total_over_pi("arc %d " % i) for i, a in enumerate(arcs)]
-    exact = all(isinstance(c, Fraction) for c in changes)
-
-    total = Fraction(0) if exact else 0.0
-    for i, change in enumerate(changes):
-        total += change if exact else _float(
-            change, "the angle change of arc %d" % i)
-    for i, arc in enumerate(arcs):
-        j = (i + 1) % len(arcs)
-        # in units of pi, i.e. of 2*sigma
-        jump = _minus(arcs[j]._angles_over_pi()[0],
-                      arc._angles_over_pi()[-1], "arc %d breakpoint 0" % j,
-                      "arc %d breakpoint %d" % (i, len(arc.breakpoints) - 1))
-        if exact:
-            frac = jump % 2
-            transverse = frac != 0
-        else:
-            frac = _float(jump, "the jump at puncture %d" % i) % 2.0
-            if math.isnan(frac):  # the jump is infinite
-                raise AngleOutOfRange("the jump at puncture %d is not "
-                                      "finite" % i)
-            transverse = min(frac, 2.0 - frac) >= _CLOSURE_TOL
-        if not transverse:
+    tol = _CLOSURE_TOL if any(a._snapped for a in arcs) else 0
+    angles = [a._angles_over_pi("arc %d " % i) for i, a in enumerate(arcs)]
+    # The arcs' angle changes and the jumps between them sum to 0, and
+    # the homotopy at a jump turns by jump % 2 (less 2 for sigma in
+    # (-pi, 0)), all in units of pi: the total is -2 (jump // 2) per
+    # puncture, less 2 each for sigma < 0, and always closes.
+    degree = 0 if boundary.positive_range else -len(arcs)
+    for i, arc in enumerate(angles):
+        jump = angles[(i + 1) % len(arcs)][0] - arc[-1]
+        if min(jump % 2, -jump % 2) <= tol:
             raise NotClosed(
                 "asymptotic lines at puncture %d are not transverse" % i)
-        total += frac if boundary.positive_range else frac - 2
-    halfturns = _halfturns(total)
-    if halfturns % 2 != 0:
-        raise NotClosed("arcs plus homotopies do not close")
-    return halfturns // 2
+        degree -= jump // 2
+    return degree
 
 
 def figure_boundary_arcs() -> tuple[list, BoundaryData]:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -118,6 +119,40 @@ def test_malformed_category_is_a_package_error():
             DirectedCategoryPresentation(**dict(fields, **changes))
         assert isinstance(info.value, errors.MalformedCategory)
         assert isinstance(info.value, ValueError)
+
+
+_TWO_MIDDLES = DirectedCategoryPresentation(
+    top="t", middles=("m1", "m2"), bottom="b",
+    hom_top_mid=(("u1",), ("u2",)), hom_mid_bottom=(("v1",), ("v2",)),
+    hom_top_bottom=F2Presentation(("c1",)), table={(0, "u1", "v1"): ("c1",)})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: _TWO_MIDDLES.compose(2, "u1", "v1"), errors.MalformedCategory,
+     "middle index 2 names no middle object"),
+    (lambda: _TWO_MIDDLES.compose(-1, (), ()), errors.MalformedCategory,
+     "middle index -1 names no middle object"),
+    (lambda: _TWO_MIDDLES.compose("0", "u1", "v1"),
+     errors.MalformedCategory, "middle index '0' names no middle object"),
+    (lambda: _TWO_MIDDLES.compose(0, "zz", "v1"), errors.UnknownGenerator,
+     "'zz' is not a morphism of middle object m1"),
+    # a generator of the other middle object
+    (lambda: _TWO_MIDDLES.compose(0, "u1", ("v1", "v2")),
+     errors.UnknownGenerator, "'v2' is not a morphism of middle object m1"),
+    (lambda: _TWO_MIDDLES.compose_cross(1, "u1", 1, "v2"),
+     errors.UnknownGenerator, "'u1' is not a morphism of middle object m2"),
+    (lambda: _TWO_MIDDLES.hom_top_bottom.vector(["c1", "zz"]),
+     errors.UnknownGenerator, "'zz' is not a generator"),
+], ids=("mid-past-end", "mid-negative", "mid-str", "unknown-left",
+        "other-middle-right", "cross-same-middle", "vector"))
+def test_compose_and_vector_name_what_is_unknown(call, error, message):
+    """A composition through a middle index out of range, or of a name
+    outside that middle's hom layers, is refused, never read as the
+    zero product; a vector of an unknown name is refused by name."""
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
+    assert _TWO_MIDDLES.compose(0, "u1", "v1") == ("c1",)
+    assert _TWO_MIDDLES.compose(1, "u2", "v2") == ()
 
 
 def test_middle_layer_names_each_generator_once():

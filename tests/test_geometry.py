@@ -138,7 +138,12 @@ def test_unit_pairs_follow_per_pair_draws():
     # pairs (e, f) come from the draws in the order e, f, e, f, ...
     rng, ref = RNG(3), RNG(3)
     e, f = g._unit_pairs(rng, 50)
-    want = [(g.random_unit2(ref), g.random_unit2(ref)) for _ in range(50)]
+
+    def unit2():
+        ang = ref.uniform(0.0, 2.0 * math.pi)
+        return np.array([math.cos(ang), math.sin(ang)])
+
+    want = [(unit2(), unit2()) for _ in range(50)]
     assert np.max(np.abs(e - [p[0] for p in want])) < 1e-15
     assert np.max(np.abs(f - [p[1] for p in want])) < 1e-15
     assert rng.random() == ref.random()
@@ -262,6 +267,38 @@ def test_trivialization_and_rho_refuse_off_quadric_points():
         g.rho((2.0, 0.0), (0.0, 1.0), 1.0)
 
 
+_C5 = np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
+_E1 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: g.mu(_C5), r"z must have a trailing axis of length 4, "
+                        r"got shape \(5,\)"),
+    (lambda: g.mu(np.tile(_C5, (3, 1))), r"z .* got shape \(3, 5\)"),
+    (lambda: g.mu(np.array(1.0 + 0j)), r"z .* got shape \(\)"),
+    (lambda: g.mu_inv(_E1[:3], np.zeros(3)), r"u .* got shape \(3,\)"),
+    (lambda: g.mu_inv(_E1, np.zeros(5)), r"v .* got shape \(5,\)"),
+    (lambda: g.quadratic(_C5), r"z .* got shape \(5,\)"),
+    (lambda: g.quadratic(np.ones((2, 3))), r"z .* got shape \(2, 3\)"),
+    (lambda: g.sigma((1.0, 0.0, 0.0), (0.0, 1.0), 0.1, 0.1),
+     r"e must have a trailing axis of length 2, got shape \(3,\)"),
+    (lambda: g.trivialization(np.array([[1, 0, 0, 0], [0, 1, 0, 0]],
+                                       dtype=complex)),
+     r"trivialization takes one point of shape \(4,\), "
+     r"got shape \(2, 4\)"),
+    (lambda: g.trivialization(np.array(1.0 + 0j)),
+     r"trivialization .* got shape \(\)"),
+], ids=("mu-5", "mu-batch-5", "mu-scalar", "mu_inv-u-3", "mu_inv-v-5",
+        "quadratic-5", "quadratic-batch-3", "sigma-e-3",
+        "trivialization-batch", "trivialization-scalar"))
+def test_maps_refuse_a_point_of_the_wrong_shape(call, message):
+    """A kernel's trailing axis must have length 4 (2 for e and f), and
+    trivialization takes one (4,) point; a shape that is not refused
+    would be summed or broadcast into a wrong answer or a bare error."""
+    with pytest.raises(errors.DomainViolation, match="^%s$" % message):
+        call()
+
+
 def test_p_image_values():
     assert g.p_image(0.0, 0.0) == 1.0 + 0.0j
     val = g.p_image(math.pi / 4, 1.0)
@@ -327,10 +364,7 @@ def test_trivialization_alpha_beta_at_zero():
 
 
 def test_trivialization_slice_recovers_e_f():
-    rng = RNG(11)
-    for _ in range(25):
-        e = g.random_unit2(rng)
-        f = g.random_unit2(rng)
+    for e, f in zip(*g._unit_pairs(RNG(11), 25)):
         # theta = pi/4 maps to lam = 2i lam' on the positive imaginary axis
         z = g.mu_inv(*g.sigma(e, f, math.pi / 4, 0.8))
         lam, w1, w2 = g.trivialization(z)
@@ -387,7 +421,8 @@ def test_rho_unit_circle_identity():
     for _ in range(200):
         ang = rng.uniform(0, 2 * math.pi)
         zeta = complex(math.cos(ang), math.sin(ang))
-        z = g.rho(g.random_unit2(rng), g.random_unit2(rng), zeta)
+        (e,), (f,) = g._unit_pairs(rng, 1)
+        z = g.rho(e, f, zeta)
         assert abs(np.sum(z * z) - 1.0) < g.CONSTRUCTION_TOL
 
 

@@ -157,8 +157,9 @@ def test_relation_outside_the_generators_is_refused(relations, message):
     disagrees with its basis."""
     with pytest.raises(errors.UnknownGenerator, match=message):
         F2Presentation(("a",), relations)
-    # vector() still raises KeyError, which the category layer reads
-    with pytest.raises(KeyError):
-        F2Presentation(("a",)).vector(["zz"])
+    # vector() names an unknown generator too
+    with pytest.raises(errors.UnknownGenerator, match="^'zz' is not a "
+                                                       "generator$"):
+        F2Presentation(("a",)).vector(["a", "zz"])
     p = F2Presentation(("a", "b"), [0b11, ("b",)])
     assert (p.dim, p.basis) == (0, ())

@@ -34,6 +34,57 @@ def test_float_input():
     assert maslov_of_loop(loop) == -1
 
 
+def _outcome(call):
+    """What call gives: its value, or its package error and message."""
+    try:
+        return call()
+    except errors.FukayaFlowError as exc:
+        return type(exc), str(exc)
+
+
+def _exact_angle(rng):
+    return F(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6)))
+
+
+def _some_as_floats(breakpoints, rng):
+    """breakpoints with a random subset of the exact angles a written as
+    floats a*pi in radians, each moved by at most 1e-12."""
+    return tuple((t, float(a) * math.pi + rng.uniform(-1e-12, 1e-12)
+                  if rng.random() < 0.5 else a) for t, a in breakpoints)
+
+
+def test_float_angles_near_exact_ones_change_nothing():
+    """A closing loop or an arc set with exact angles gives the same
+    Maslov index and winding number, or the same lines that are not
+    transverse, when any of its angles are floats within 1e-12 rad of
+    the exact ones."""
+    rng = random.Random(30)
+    for _ in range(300):
+        start = _exact_angle(rng)
+        middle = [_exact_angle(rng) for _ in range(rng.randint(0, 3))]
+        angles = [start, *middle, start + 2 * rng.randint(-4, 4)]
+        exact = tuple(enumerate(angles))
+        convention = rng.choice(("dx^dy", "dy^dx"))
+        want = maslov_of_loop(LagrangianLineLoop(exact, convention))
+        for _ in range(4):
+            mixed = LagrangianLineLoop(_some_as_floats(exact, rng),
+                                       convention)
+            assert maslov_of_loop(mixed) == want, mixed
+    outcomes = set()
+    for _ in range(600):
+        arcs = [tuple(enumerate(_exact_angle(rng)
+                                for _ in range(rng.randint(2, 3))))
+                for _ in range(rng.randint(1, 4))]
+        boundary = BoundaryData(len(arcs), rng.random() < 0.5)
+        want = _outcome(lambda: winding_number(_arcs(arcs), boundary))
+        outcomes.add(type(want))
+        for _ in range(4):
+            mixed = _arcs(_some_as_floats(arc, rng) for arc in arcs)
+            assert _outcome(lambda: winding_number(mixed, boundary)) == \
+                want, mixed
+    assert outcomes == {int, tuple}  # transverse sets and others
+
+
 def test_constant_loop():
     assert maslov_of_loop(_loop(0, "dy^dx")) == 0
     assert maslov_of_loop(_loop(0, "dx^dy")) == 0
@@ -116,6 +167,24 @@ def test_winding_puncture_count_checked():
         winding_number(arcs, BoundaryData(punctures=2))
 
 
+_NOT_TRANSVERSE = (errors.NotClosed,
+                   "asymptotic lines at puncture 0 are not transverse")
+# keyed by where the exact angle past the float range meets a float one
+_PAST_THE_FLOAT_RANGE = {
+    "breakpoint 0": (errors.NotClosed, "total angle change about "
+                     "-10^400*pi is not a multiple of pi"),
+    "breakpoint 1": (errors.NotClosed, "total angle change about "
+                     "-10^400*pi is not a multiple of pi"),
+    # the angle change 0.5/pi - 10**400, the jump back, 10**400 - 0.5/pi
+    # = 2 - 0.5/pi mod 2, and sigma's -2: -10**400 half-turns
+    "arc 0 breakpoint 0": -5 * 10**399,
+    # 10**400 is even, so each of these jumps is 0 mod 2
+    "the angle change of arc 0": _NOT_TRANSVERSE,
+    "arc 0 breakpoint 1": _NOT_TRANSVERSE,
+    "the jump at puncture 0": _NOT_TRANSVERSE,
+}
+
+
 @pytest.mark.parametrize("call,where", [
     (lambda: maslov_of_loop(LagrangianLineLoop(((0, 10**400), (1, 0.5)))),
      "breakpoint 0"),
@@ -131,17 +200,18 @@ def test_winding_puncture_count_checked():
     (lambda: winding_number(_arcs([((0, 10**400), (1, 10**400)),
                                    ((0, 0.0), (1, 0.5))]), BoundaryData(2)),
      "arc 0 breakpoint 1"),
-    # two exact endpoints whose difference meets the float arithmetic
+    # two exact endpoints whose difference meets a float arc
     (lambda: winding_number(_arcs([((0, 0), (1, 0)),
                                    ((0, 10**400), (1, 10**400)),
                                    ((0, 0.0), (1, 0.5))]), BoundaryData(3)),
      "the jump at puncture 0"),
 ])
 def test_exact_angle_beyond_float_range_names_the_breakpoint(call, where):
-    with pytest.raises(errors.AngleOutOfRange) as info:
-        call()
-    assert str(info.value).startswith(where + ": ")
-    assert isinstance(info.value, errors.FukayaFlowError)
+    """An exact angle past the float range beside a float angle is
+    computed exactly; where names the angle, change or jump at which the
+    two meet, and a NotClosed message gives the magnitude of a total
+    that no float holds."""
+    assert _outcome(call) == _PAST_THE_FLOAT_RANGE[where]
 
 
 def test_huge_exact_angles_stay_exact():
@@ -179,27 +249,33 @@ def test_non_finite_angle_names_the_breakpoint(call, where, angle):
 
 
 def test_angle_change_beyond_the_float_range():
-    # finite angles whose float angle change is not finite: an exact
-    # angle just inside the float range against a float one, and five
-    # arcs whose changes (exact but converted) sum past it
-    with pytest.raises(errors.AngleOutOfRange, match="not finite"):
-        loop_degree(LagrangianLineLoop(((0, 17 * 10**307), (1, -1.7e308))))
+    # finite angles whose change no float holds: an exact angle just
+    # inside the float range against a float one, and five arcs whose
+    # exact changes sum past it beside a float arc
+    end = -1.7e308 / math.pi  # an even integer, as every float this size
+    assert end == int(end) and int(end) % 2 == 0
+    assert loop_degree(LagrangianLineLoop(((0, 17 * 10**307),
+                                           (1, -1.7e308)))) == \
+        (int(end) - 17 * 10**307) // 2
     s, h = 85 * 10**306, F(1, 2)
     arcs = [((0, 0), (1, 2 * s)), ((0, 2 * s + h), (1, 4 * s + h)),
-            ((0, 4 * s + 1), (1, 2 * s + 1)), ((0, 2 * s + 3 * h), (1, 3 * h)),
-            ((0, 2 * math.pi), (1, 0.5 * math.pi))]
-    with pytest.raises(errors.AngleOutOfRange, match="not finite"):
-        winding_number(_arcs(arcs), BoundaryData(5))
+            ((0, 4 * s + 1), (1, 2 * s + 1)), ((0, 2 * s + 3 * h), (1, 3 * h))]
+    # 2 pi / pi and (pi / 2) / pi are exactly 2.0 and 0.5 in floats
+    floats = arcs + [((0, 2 * math.pi), (1, 0.5 * math.pi))]
+    exact = arcs + [((0, 2), (1, h))]
+    assert winding_number(_arcs(floats), BoundaryData(5)) == \
+        winding_number(_arcs(exact), BoundaryData(5)) == -4
 
 
 def test_jump_beyond_the_float_range_names_the_puncture():
-    # both arcs are finite and constant, but the jump from the exact end
-    # of arc 0 to the float start of arc 1 overflows to -inf, whose
-    # remainder mod 2 is nan
+    # both arcs are finite and constant; the jump from the exact end of
+    # arc 0 to the float start of arc 1 is an even integer past the
+    # float range, so the lines at puncture 0 are not transverse
     arcs = [((0, 17 * 10**307), (1, 17 * 10**307)),
             ((0, -1.7e308), (1, -1.7e308))]
-    with pytest.raises(errors.AngleOutOfRange,
-                       match="^the jump at puncture 0 is not finite$"):
+    with pytest.raises(errors.NotClosed,
+                       match="^asymptotic lines at puncture 0 are not "
+                             "transverse$"):
         winding_number(_arcs(arcs), BoundaryData(2))
 
 

@@ -6,10 +6,16 @@ plus `morse-bott case-I` on both pairs in both formats and
 `cascade-diagnostics` on both pairs for every (source, target) pair of
 that pair's generators with 0, 1 and 2 cascades in both formats, and
 `emit-figure` in both formats with `--grid-n` 1, 7 and 200, each without
-and with `--lambda-max 0.5`: 2892 calls.  It prints the sha256 over each
-call's argv and stdout.  Two
-checkouts whose digests agree print byte-identical stdout on all of
-these calls.
+and with `--lambda-max 0.5`, then the index calculus: `maslov --loop` on
+loops of degree -3..3 with int, float and mixed angles in both
+conventions (126 calls), `maslov --arcs` on transverse two- and
+three-arc sets with int, float and mixed angles, without and with
+`--positive-sigma` (612 calls), and `glued-index` on a grid of
+`--triangle-system` triples, every even `--base-dim` from 2 to 12 and
+one `--parts`/`--gluings` tree (107 calls): 3737 calls.  JSON has no
+fraction literal, so the CLI's exact angles are the ints.  It prints
+the sha256 over each call's argv and stdout.  Two checkouts whose
+digests agree print byte-identical stdout on all of these calls.
 
     python3 tools/cli_digest.py
 
@@ -22,8 +28,11 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
+import math
 import os
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
@@ -70,6 +79,64 @@ def calls():
             for lam in ([], ["--lambda-max", "0.5"]):
                 yield ["emit-figure", "--format", fmt,
                        "--grid-n", grid_n] + lam
+    yield from index_calls()
+
+
+def _breakpoints(angles, floats):
+    """[t, angle] pairs for angles in units of pi: an angle whose index
+    is in floats, or that is no integer, as a float in radians."""
+    return [[t, float(a) * math.pi if t in floats or a != int(a) else int(a)]
+            for t, a in enumerate(angles)]
+
+
+def _arc_sets():
+    """Two- and three-arc sets, as lists of angle lists in units of pi,
+    whose puncture jumps are all nonzero mod 2 (transverse)."""
+    half = Fraction(1, 2)
+    sets = [[(0, a), (a + j, b)] for a in (-2, 0, 1, 2)
+            for j in (-1, half, 1, 3) for b in (-1, 0, 1, 3)]
+    sets += [[(0, a), (a + j1, a + j1 + d), (a + j1 + d + j2, c)]
+             for a in (-2, 0, 1) for j1 in (-1, half, 1)
+             for d in (-1, 0, 2) for j2 in (1, 3 * half) for c in (0, -3)]
+    return [arcs for arcs in sets
+            if all((arcs[(i + 1) % len(arcs)][0] - arc[-1]) % 2
+                   for i, arc in enumerate(arcs))]
+
+
+def index_calls():
+    """maslov and glued-index: loops of degree -3..3 with int, float and
+    mixed angles in both conventions; transverse two- and three-arc sets
+    with int, float and mixed angles under both sigma ranges; grids of
+    the triangle system and the vanishing-cycle triangle; a glued tree."""
+    for degree in range(-3, 4):
+        for angles in ((0, 2 * degree), (1, 1 + degree, 1 + 2 * degree),
+                       (-3, 5, -3 + 2 * degree)):
+            for floats in ((), range(len(angles)), (len(angles) - 1,)):
+                for convention in ("dx^dy", "dy^dx"):
+                    yield ["maslov", "--loop",
+                           json.dumps(_breakpoints(angles, floats)),
+                           "--convention", convention]
+    for arcs in _arc_sets():
+        # no arc, every arc, or every other arc with float angles
+        for floated in ((), range(len(arcs)), range(1, len(arcs), 2)):
+            for sigma in ([], ["--positive-sigma"]):
+                yield ["maslov", "--arcs", json.dumps(
+                    [_breakpoints(arc, range(2) if i in floated else ())
+                     for i, arc in enumerate(arcs)])] + sigma
+    for n, mu, mu_prime in itertools.product(range(1, 6), range(-2, 3),
+                                             (-3, -1, 1, 3)):
+        yield ["glued-index", "--triangle-system",
+               "%d,%d,%d" % (n, mu, mu_prime)]
+    for base_dim in range(2, 13, 2):
+        yield ["glued-index", "--base-dim", str(base_dim)]
+    parts = [{"name": "a", "index": 3, "punctures": {"p": 1, "q": 2}},
+             {"name": "b", "index": -1, "punctures": {"p": 1}},
+             {"name": "c", "index": 4, "punctures": {"q": 2, "r": 0}},
+             {"name": "d", "index": 0, "punctures": {"r": 0}}]
+    gluings = [["a", "p", "b", "p"], ["a", "q", "c", "q"],
+               ["c", "r", "d", "r"]]
+    yield ["glued-index", "--parts", json.dumps(parts),
+           "--gluings", json.dumps(gluings)]
 
 
 def main() -> int:
